@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use regpipe_ddg::Ddg;
 use regpipe_machine::{MachineConfig, Mrt};
-use regpipe_regalloc::{allocate, AllocationResult, LifetimeAnalysis};
+use regpipe_regalloc::{allocate, AllocationResult, LifetimeAnalysis, RotatingAllocator};
 use regpipe_sched::{
     HrmsScheduler, LoopAnalysis, SchedError, SchedRequest, Schedule, Scheduler,
 };
@@ -265,7 +265,10 @@ impl<S: Scheduler> SpillDriver<S> {
             drop(ctx);
             reschedules += 1;
             iis_explored += sched.iis_tried();
-            let allocation = allocate(&g, &sched);
+            // One lifetime analysis per round serves both the allocation
+            // and, when over budget, the victim ranking.
+            let analysis = LifetimeAnalysis::new(&g, &sched);
+            let allocation = RotatingAllocator::new().allocate(&analysis);
             best = Some(best.map_or(allocation.total(), |b| b.min(allocation.total())));
             trace.push(SpillTracePoint {
                 spilled,
@@ -292,7 +295,6 @@ impl<S: Scheduler> SpillDriver<S> {
             // Select and apply victims. Ranking is delegated to the
             // configured policy; the round counter feeds the stress
             // policy's rotation.
-            let analysis = LifetimeAnalysis::new(&g, &sched);
             let pool = candidates(&g, &analysis);
             let rank_ctx = RankContext {
                 analysis: &analysis,

@@ -87,23 +87,18 @@ impl RotatingAllocator {
 
     /// Allocates registers for all lifetimes in `analysis`.
     pub fn allocate(&self, analysis: &LifetimeAnalysis) -> AllocationResult {
-        let ii = i64::from(analysis.ii());
-        // Adjacency ordering: by start cycle, longest first on ties so the
-        // big lifetimes grab compact runs early.
-        let mut lifetimes: Vec<(i64, i64, OpId)> =
-            analysis.lifetimes().map(|lt| (lt.start(), lt.end(), lt.producer())).collect();
-        lifetimes.sort_by_key(|&(s, e, p)| (s, -(e - s), p));
-
-        let max_live_variants = analysis.max_live_variants();
-        let n_ops = analysis.lifetimes().map(|lt| lt.producer().index() + 1).max().unwrap_or(0);
-
-        let mut r = max_live_variants.max(u32::from(!lifetimes.is_empty()));
-        let (variant_regs, assignment) = loop {
-            match try_allocate(&lifetimes, ii, r, n_ops) {
-                Some(assignment) => {
-                    break (if lifetimes.is_empty() { 0 } else { r }, assignment)
+        let (variant_regs, assignment) = if analysis.lifetimes().next().is_none() {
+            (0, Vec::new())
+        } else {
+            let cylinder = Cylinder::new(analysis);
+            // Every register count below the cylinder's floor fails, so the
+            // search starts at whichever of the two bounds is higher.
+            let mut r = analysis.max_live_variants().max(cylinder.min_regs);
+            loop {
+                match cylinder.try_allocate(r) {
+                    Some(assignment) => break (r, assignment),
+                    None => r += 1,
                 }
-                None => r += 1,
             }
         };
         AllocationResult {
@@ -115,50 +110,115 @@ impl RotatingAllocator {
     }
 }
 
-/// Attempts to place all lifetimes on an `r`-register cylinder; returns the
-/// per-op register assignment on success.
-fn try_allocate(
-    lifetimes: &[(i64, i64, OpId)],
-    ii: i64,
-    r: u32,
-    n_ops: usize,
-) -> Option<Vec<Option<u32>>> {
-    if lifetimes.is_empty() {
-        return Some(vec![None; n_ops]);
-    }
-    let r = i64::from(r);
-    let mut assignment: Vec<Option<u32>> = vec![None; n_ops];
-    let mut placed: Vec<(i64, i64, i64)> = Vec::new(); // (start, end, rho)
+/// One pair of lifetimes that can overlap: the lifetime placed earlier in
+/// adjacency order and the range of iteration offsets `d` at which
+/// instance `k + d` of the later one overlaps instance `k` of it.
+#[derive(Clone, Copy, Debug)]
+struct Overlap {
+    earlier: usize,
+    dmin: i64,
+    dmax: i64,
+}
 
-    for &(s_j, e_j, op) in lifetimes {
-        let len_j = e_j - s_j;
-        // Self-overlap: instance k and instance k+d share a register iff
-        // d ≡ 0 (mod r); they overlap in time iff |d|·II < len. So we need
-        // r ≥ ⌈len / II⌉.
-        let needed = (len_j + ii - 1).div_euclid(ii);
-        if needed > r {
-            return None;
-        }
-        let mut forbidden = vec![false; r as usize];
-        for &(s_i, e_i, rho_i) in &placed {
-            // Iteration-offset range where the intervals can overlap:
-            // [s_i, e_i) vs [s_j + d·II, e_j + d·II).
-            let d_lo = (s_i - e_j).div_euclid(ii); // smallest d with overlap possible
-            let d_hi = (e_i - s_j).div_euclid(ii) + 1;
-            for d in d_lo..=d_hi {
-                let overlap = s_i < e_j + d * ii && s_j + d * ii < e_i;
-                if overlap {
-                    // Conflict if rho_i ≡ rho_j + d (mod r).
-                    let bad = (rho_i - d).rem_euclid(r);
-                    forbidden[bad as usize] = true;
+/// The lifetimes of one schedule in adjacency order, with every pair's
+/// overlap range. None of it depends on the register count, so it is
+/// built once per allocation and shared by every first-fit attempt.
+struct Cylinder {
+    /// Producer per lifetime, in adjacency order.
+    producers: Vec<OpId>,
+    /// Overlaps with earlier lifetimes, grouped by the later lifetime:
+    /// lifetime `j`'s are `overlaps[first[j]..first[j + 1]]`.
+    overlaps: Vec<Overlap>,
+    first: Vec<usize>,
+    /// Register count below which first-fit provably fails: a lifetime
+    /// needs `⌈len / II⌉` registers for its own instances, and an overlap
+    /// range of `w` offsets forbids `w` distinct registers (all of them
+    /// when `w ≥ R`).
+    min_regs: u32,
+    /// Length of the per-op assignment vector.
+    n_ops: usize,
+}
+
+impl Cylinder {
+    fn new(analysis: &LifetimeAnalysis) -> Self {
+        let ii = i64::from(analysis.ii());
+        // Adjacency ordering: by start cycle, longest first on ties so the
+        // big lifetimes grab compact runs early.
+        let mut lifetimes: Vec<(i64, i64, OpId)> =
+            analysis.lifetimes().map(|lt| (lt.start(), lt.end(), lt.producer())).collect();
+        lifetimes.sort_by_key(|&(s, e, p)| (s, -(e - s), p));
+
+        // Each pair's overlap range needs ⌊(s_i − e_j)/II⌋ and
+        // ⌊(e_i − 1 − s_j)/II⌋. With every endpoint split once into
+        // quotient and remainder, a difference's floor is the quotients'
+        // difference, minus one when the remainders borrow.
+        let split = |t: i64| (t.div_euclid(ii), t.rem_euclid(ii));
+        let starts: Vec<(i64, i64)> = lifetimes.iter().map(|&(s, _, _)| split(s)).collect();
+        let ends: Vec<(i64, i64)> = lifetimes.iter().map(|&(_, e, _)| split(e)).collect();
+        let lasts: Vec<(i64, i64)> = lifetimes.iter().map(|&(_, e, _)| split(e - 1)).collect();
+        let floor_diff =
+            |(qa, ra): (i64, i64), (qb, rb): (i64, i64)| qa - qb - i64::from(ra < rb);
+
+        let mut min_regs = 1i64;
+        let mut overlaps = Vec::new();
+        let mut first = Vec::with_capacity(lifetimes.len() + 1);
+        for (j, &(s_j, e_j, _)) in lifetimes.iter().enumerate() {
+            // Self-overlap: instances k and k+d share a register iff
+            // d ≡ 0 (mod R) and overlap in time iff |d|·II < len.
+            min_regs = min_regs.max((e_j - s_j + ii - 1).div_euclid(ii));
+            first.push(overlaps.len());
+            for i in 0..j {
+                // [s_i, e_i) and [s_j + d·II, e_j + d·II) overlap iff
+                // s_i − e_j < d·II < e_i − s_j, i.e. for d in
+                // [⌊(s_i − e_j)/II⌋ + 1, ⌊(e_i − s_j − 1)/II⌋].
+                let dmin = floor_diff(starts[i], ends[j]) + 1;
+                let dmax = floor_diff(lasts[i], starts[j]);
+                if dmin <= dmax {
+                    min_regs = min_regs.max(dmax - dmin + 2);
+                    overlaps.push(Overlap { earlier: i, dmin, dmax });
                 }
             }
         }
-        let rho = (0..r).find(|&c| !forbidden[c as usize])?;
-        placed.push((s_j, e_j, rho));
-        assignment[op.index()] = Some(rho as u32);
+        first.push(overlaps.len());
+        Cylinder {
+            n_ops: lifetimes.iter().map(|&(_, _, p)| p.index() + 1).max().unwrap_or(0),
+            producers: lifetimes.into_iter().map(|(_, _, p)| p).collect(),
+            overlaps,
+            first,
+            min_regs: u32::try_from(min_regs).unwrap_or(u32::MAX),
+        }
     }
-    Some(assignment)
+
+    /// First-fit on an `r`-register cylinder (`r ≥ min_regs`): each
+    /// lifetime in adjacency order takes the lowest register no
+    /// overlapping earlier lifetime forbids. Returns the per-op register
+    /// assignment, or `None` when some lifetime finds every register
+    /// forbidden.
+    fn try_allocate(&self, r: u32) -> Option<Vec<Option<u32>>> {
+        debug_assert!(r >= self.min_regs);
+        let r64 = i64::from(r);
+        let r = r as usize;
+        let mut rho: Vec<i64> = Vec::with_capacity(self.producers.len());
+        let mut forbidden = vec![false; r];
+        for j in 0..self.producers.len() {
+            forbidden.fill(false);
+            for o in &self.overlaps[self.first[j]..self.first[j + 1]] {
+                // Conflict if rho_i ≡ rho_j + d (mod R): the residues
+                // rho_i − d for d in [dmin, dmax], fewer than R of them.
+                let mut c = (rho[o.earlier] - o.dmax).rem_euclid(r64) as usize;
+                for _ in o.dmin..=o.dmax {
+                    forbidden[c] = true;
+                    c = if c + 1 == r { 0 } else { c + 1 };
+                }
+            }
+            rho.push(forbidden.iter().position(|&f| !f)? as i64);
+        }
+        let mut assignment = vec![None; self.n_ops];
+        for (&op, &reg) in self.producers.iter().zip(&rho) {
+            assignment[op.index()] = Some(reg as u32);
+        }
+        Some(assignment)
+    }
 }
 
 #[cfg(test)]
@@ -203,6 +263,110 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The allocator as first written, kept as the oracle for
+    /// [`Cylinder`]: every first-fit attempt rescans each earlier lifetime
+    /// over a superset of its overlapping offsets, testing each `d`.
+    fn reference_allocate(analysis: &LifetimeAnalysis) -> AllocationResult {
+        let ii = i64::from(analysis.ii());
+        let mut lifetimes: Vec<(i64, i64, OpId)> =
+            analysis.lifetimes().map(|lt| (lt.start(), lt.end(), lt.producer())).collect();
+        lifetimes.sort_by_key(|&(s, e, p)| (s, -(e - s), p));
+        let n_ops = analysis.lifetimes().map(|lt| lt.producer().index() + 1).max().unwrap_or(0);
+        let mut r = analysis.max_live_variants().max(u32::from(!lifetimes.is_empty()));
+        let (variant_regs, assignment) = loop {
+            match reference_try_allocate(&lifetimes, ii, r, n_ops) {
+                Some(assignment) => {
+                    break (if lifetimes.is_empty() { 0 } else { r }, assignment)
+                }
+                None => r += 1,
+            }
+        };
+        AllocationResult {
+            variant_regs,
+            invariant_regs: analysis.live_invariants(),
+            max_live: analysis.max_live(),
+            assignment,
+        }
+    }
+
+    fn reference_try_allocate(
+        lifetimes: &[(i64, i64, OpId)],
+        ii: i64,
+        r: u32,
+        n_ops: usize,
+    ) -> Option<Vec<Option<u32>>> {
+        if lifetimes.is_empty() {
+            return Some(vec![None; n_ops]);
+        }
+        let r = i64::from(r);
+        let mut assignment: Vec<Option<u32>> = vec![None; n_ops];
+        let mut placed: Vec<(i64, i64, i64)> = Vec::new(); // (start, end, rho)
+        for &(s_j, e_j, op) in lifetimes {
+            let needed = (e_j - s_j + ii - 1).div_euclid(ii);
+            if needed > r {
+                return None;
+            }
+            let mut forbidden = vec![false; r as usize];
+            for &(s_i, e_i, rho_i) in &placed {
+                let d_lo = (s_i - e_j).div_euclid(ii);
+                let d_hi = (e_i - s_j).div_euclid(ii) + 1;
+                for d in d_lo..=d_hi {
+                    if s_i < e_j + d * ii && s_j + d * ii < e_i {
+                        forbidden[(rho_i - d).rem_euclid(r) as usize] = true;
+                    }
+                }
+            }
+            let rho = (0..r).find(|&c| !forbidden[c as usize])?;
+            placed.push((s_j, e_j, rho));
+            assignment[op.index()] = Some(rho as u32);
+        }
+        Some(assignment)
+    }
+
+    /// The precomputed overlap ranges change nothing: on random schedules
+    /// — II 1 included, and lifetimes many IIs long through large
+    /// dependence distances and spread-out starts — the allocation,
+    /// register assignment included, equals the per-offset oracle's.
+    #[test]
+    fn allocation_matches_the_per_offset_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut long_lifetimes = 0;
+        for case in 0..400 {
+            let n = rng.random_range(1..24usize);
+            let ii = if case % 4 == 0 { 1 } else { rng.random_range(1..9u32) };
+            let mut b = DdgBuilder::new(format!("o{case}"));
+            let ops: Vec<OpId> = (0..n)
+                .map(|i| {
+                    let kind = [OpKind::Load, OpKind::Add, OpKind::Mul, OpKind::Store][i % 4];
+                    b.add_op(kind, format!("n{i}"))
+                })
+                .collect();
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j && ops[i].index() % 4 != 3 && rng.random_range(0..5u32) == 0 {
+                        let min = u32::from(j <= i);
+                        b.reg_dist(ops[i], ops[j], rng.random_range(min..min + 12));
+                    }
+                }
+            }
+            if rng.random_range(0..3u32) == 0 {
+                b.invariant("a", &[ops[0]]);
+            }
+            let Ok(g) = b.build() else { continue };
+            let spread = rng.random_range(1..80i64);
+            let starts: Vec<i64> = (0..n).map(|_| rng.random_range(-spread..spread)).collect();
+            let analysis = analyse(&g, &Schedule::new(ii, starts));
+            long_lifetimes +=
+                analysis.lifetimes().filter(|lt| lt.length() > 4 * i64::from(ii)).count();
+            let res = RotatingAllocator::new().allocate(&analysis);
+            assert_eq!(res, reference_allocate(&analysis), "case {case}\n{g}");
+            assert_valid(&analysis, &res);
+        }
+        assert!(long_lifetimes > 100, "only {long_lifetimes} lifetimes over 4 IIs long");
     }
 
     #[test]

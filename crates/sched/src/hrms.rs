@@ -26,10 +26,9 @@
 //! Everything II-independent — groups, the super graph, recurrence sets and
 //! their bounds, reachability, the fallback order — lives in
 //! [`LoopAnalysis`] and is computed once per loop; the II search below only
-//! re-runs the (warm-started) timing analysis, the alternating-direction
-//! inner ordering and the placement scan per candidate II.
-
-use std::collections::BTreeSet;
+//! re-runs the (warm-started) timing analysis and the placement scan per
+//! candidate II. The inner ordering is a pure function of the group
+//! priorities, so it is re-run only at IIs where those priorities change.
 
 use regpipe_ddg::{Ddg, OpId};
 use regpipe_machine::{MachineConfig, Mrt};
@@ -67,7 +66,9 @@ impl HrmsScheduler {
     pub fn ordering(&self, ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Option<Vec<OpId>> {
         let ctx = LoopAnalysis::new(ddg, machine);
         let analysis = ctx.time_analysis(ii, None)?;
-        Some(ordering_in(&ctx, &analysis))
+        let mut priorities = GroupPriorities::default();
+        priorities.fill(&ctx, &analysis);
+        Some(ordering_in(&ctx, &priorities))
     }
 }
 
@@ -90,44 +91,66 @@ impl Scheduler for HrmsScheduler {
         ctx: &LoopAnalysis<'_>,
         request: &SchedRequest,
     ) -> Result<Schedule, SchedError> {
-        let lower = ctx.mii().max(request.min_ii.unwrap_or(1));
-        let upper = request.max_ii.unwrap_or_else(|| ctx.fallback_max_ii());
-        if upper < lower {
-            return Err(SchedError::InfeasibleRequest { min_ii: lower, max_ii: upper });
-        }
-        let mut scratch = PlaceScratch::new(ctx.ddg().num_ops());
-        let mut tried = 0u32;
-        let mut prev: Option<TimeAnalysis> = None;
-        for ii in lower..=upper {
-            tried += 1;
-            let Some(analysis) = ctx.time_analysis(ii, prev.as_ref()) else {
-                continue;
-            };
-            let order = ordering_in(ctx, &analysis);
-            if let Some(starts) =
-                place_order(ctx, ii, &order, &analysis, PlaceMode::Hrms, &mut scratch)
-            {
-                return Ok(Schedule::with_provenance(ii, starts, "hrms", tried));
-            }
-            // The greedy bidirectional placement can paint itself into a
-            // corner on graphs whose acyclic part straddles the recurrences.
-            // A forward topological order with ASAP-clamped placement cannot
-            // drift and converges as II grows; try it before giving up on
-            // this II so the search degrades gracefully instead of failing.
-            if let Some(starts) = place_order(
-                ctx,
-                ii,
-                &ctx.fallback,
-                &analysis,
-                PlaceMode::AsapClamped,
-                &mut scratch,
-            ) {
-                return Ok(Schedule::with_provenance(ii, starts, "hrms", tried));
-            }
-            prev = Some(analysis);
-        }
-        Err(SchedError::NoScheduleUpTo { max_ii: upper })
+        search_ii(ctx, request, "hrms", ordering_in)
     }
+}
+
+/// The II search shared by the HRMS and SMS schedulers: from the request's
+/// lower bound upward, order the groups with `ordering` and place them;
+/// the first II that places everything wins.
+///
+/// `ordering` must be a pure function of the group priorities: the order
+/// of the previous II is reused whenever the priorities did not change.
+/// `scheduler` names the schedule's provenance.
+pub(crate) fn search_ii(
+    ctx: &LoopAnalysis<'_>,
+    request: &SchedRequest,
+    scheduler: &'static str,
+    ordering: impl Fn(&LoopAnalysis<'_>, &GroupPriorities) -> Vec<OpId>,
+) -> Result<Schedule, SchedError> {
+    let lower = ctx.mii().max(request.min_ii.unwrap_or(1));
+    let upper = request.max_ii.unwrap_or_else(|| ctx.fallback_max_ii());
+    if upper < lower {
+        return Err(SchedError::InfeasibleRequest { min_ii: lower, max_ii: upper });
+    }
+    let mut scratch = PlaceScratch::new(ctx.ddg().num_ops());
+    let mut tried = 0u32;
+    let mut prev: Option<TimeAnalysis> = None;
+    // The priorities `order` was built from, and this II's priorities.
+    let mut ordered_by = GroupPriorities::default();
+    let mut priorities = GroupPriorities::default();
+    let mut order: Option<Vec<OpId>> = None;
+    for ii in lower..=upper {
+        tried += 1;
+        let Some(analysis) = ctx.time_analysis(ii, prev.as_ref()) else {
+            continue;
+        };
+        priorities.fill(ctx, &analysis);
+        if order.is_none() || priorities != ordered_by {
+            order = Some(ordering(ctx, &priorities));
+            std::mem::swap(&mut ordered_by, &mut priorities);
+        }
+        let order = order.as_deref().expect("ordered above");
+        if let Some(starts) =
+            place_order(ctx, ii, order, &analysis, PlaceMode::Hrms, &mut scratch)
+        {
+            return Ok(Schedule::with_provenance(ii, starts, scheduler, tried));
+        }
+        // The greedy bidirectional placement can paint itself into a
+        // corner on graphs whose acyclic part straddles the recurrences
+        // (and the swing order, having no readiness gate, can wedge on
+        // both-sided windows at tight IIs). A forward topological order
+        // with ASAP-clamped placement cannot drift and converges as II
+        // grows; try it before giving up on this II so the search
+        // degrades gracefully instead of failing.
+        if let Some(starts) =
+            place_order(ctx, ii, &ctx.fallback, &analysis, PlaceMode::AsapClamped, &mut scratch)
+        {
+            return Ok(Schedule::with_provenance(ii, starts, scheduler, tried));
+        }
+        prev = Some(analysis);
+    }
+    Err(SchedError::NoScheduleUpTo { max_ii: upper })
 }
 
 // ----------------------------------------------------------------------
@@ -143,93 +166,119 @@ pub(crate) enum Direction {
     BottomUp,
 }
 
-/// Group-level timing priorities: per complex group, the earliest member
-/// ASAP, the latest member ALAP (both on the leader's clock) and the
-/// minimum member mobility. Shared by the HRMS and SMS ordering phases.
-pub(crate) fn group_priorities(
-    ctx: &LoopAnalysis<'_>,
-    analysis: &TimeAnalysis,
-) -> (Vec<i64>, Vec<i64>, Vec<i64>) {
-    let groups = ctx.groups();
-    let g = groups.len();
-    let mut g_asap = vec![i64::MAX; g];
-    let mut g_alap = vec![NEG_INF; g];
-    let mut g_mob = vec![i64::MAX; g];
-    for gi in 0..g {
-        for &m in groups.members_of(groups.leader(gi)) {
-            g_asap[gi] = g_asap[gi].min(analysis.asap(m) - groups.offset(m));
-            g_alap[gi] = g_alap[gi].max(analysis.alap(m) - groups.offset(m));
-            g_mob[gi] = g_mob[gi].min(analysis.mobility(m));
-        }
-    }
-    (g_asap, g_alap, g_mob)
+/// Group-level timing priorities at one II: per complex group, the
+/// earliest member ASAP, the latest member ALAP (both on the leader's
+/// clock) and the minimum member mobility. Everything the HRMS and SMS
+/// ordering phases read from the timing analysis.
+#[derive(Clone, PartialEq, Eq, Default, Debug)]
+pub(crate) struct GroupPriorities {
+    pub(crate) asap: Vec<i64>,
+    pub(crate) alap: Vec<i64>,
+    pub(crate) mob: Vec<i64>,
 }
 
-/// Produces the scheduling order as a list of group leaders, walking the
-/// context's precomputed priority sets with the timing analysis for this II.
-pub(crate) fn ordering_in(ctx: &LoopAnalysis<'_>, analysis: &TimeAnalysis) -> Vec<OpId> {
+impl GroupPriorities {
+    /// Recomputes the priorities from `analysis`, reusing the buffers.
+    pub(crate) fn fill(&mut self, ctx: &LoopAnalysis<'_>, analysis: &TimeAnalysis) {
+        let groups = ctx.groups();
+        let g = groups.len();
+        self.asap.clear();
+        self.asap.resize(g, i64::MAX);
+        self.alap.clear();
+        self.alap.resize(g, NEG_INF);
+        self.mob.clear();
+        self.mob.resize(g, i64::MAX);
+        for gi in 0..g {
+            for &m in groups.members_of(groups.leader(gi)) {
+                self.asap[gi] = self.asap[gi].min(analysis.asap(m) - groups.offset(m));
+                self.alap[gi] = self.alap[gi].max(analysis.alap(m) - groups.offset(m));
+                self.mob[gi] = self.mob[gi].min(analysis.mobility(m));
+            }
+        }
+    }
+}
+
+/// Produces the HRMS scheduling order as a list of group leaders, walking
+/// the context's precomputed priority sets with this II's priorities.
+pub(crate) fn ordering_in(ctx: &LoopAnalysis<'_>, p: &GroupPriorities) -> Vec<OpId> {
     let sg = &ctx.sg;
-    let (g_asap, g_alap, g_mob) = group_priorities(ctx, analysis);
-    let horizon: i64 = g_alap.iter().copied().max().unwrap_or(0);
+    let horizon: i64 = p.alap.iter().copied().max().unwrap_or(0);
     frontier_walk(
         ctx,
         // Fresh start: most critical (min mobility), earliest.
-        |remaining| {
-            remaining
-                .iter()
-                .copied()
-                .min_by_key(|&v| (g_mob[v], g_asap[v], v))
-                .expect("non-empty")
-        },
-        |frontier, remaining, dir| {
-            pick(frontier, remaining, sg, dir, &g_asap, &g_alap, &g_mob, horizon)
-        },
+        |v| (p.mob[v], p.asap[v], v),
+        |frontier, remaining, dir| pick(frontier, remaining, sg, dir, p, horizon),
     )
 }
 
 /// The ordering walk shared by the HRMS and SMS schedulers: alternating
 /// top-down/bottom-up sweeps over the context's precomputed priority
 /// sets, expanding a frontier from the already-ordered groups. The two
-/// schedulers differ only in their plug-ins — `seed` chooses the fresh
-/// start of a set no ordered group connects to yet, `pick(frontier,
-/// remaining, dir)` the next group for the current sweep direction.
+/// schedulers differ only in their plug-ins — the fresh start of a set no
+/// ordered group connects to yet is the remaining group with the smallest
+/// `seed_key`, and `pick(frontier, remaining, dir)` chooses the next group
+/// for the current sweep direction.
+///
+/// `remaining` is indexed by group and true for the current set's groups
+/// not yet ordered. Both plug-ins end their keys in the group index, so
+/// the minimum is unique and the frontier's order does not matter.
 pub(crate) fn frontier_walk(
     ctx: &LoopAnalysis<'_>,
-    seed: impl Fn(&BTreeSet<usize>) -> usize,
-    pick: impl Fn(&BTreeSet<usize>, &BTreeSet<usize>, Direction) -> Option<usize>,
+    seed_key: impl Fn(usize) -> (i64, i64, usize),
+    pick: impl Fn(&[usize], &[bool], Direction) -> Option<usize>,
 ) -> Vec<OpId> {
     let groups = ctx.groups();
     let sg = &ctx.sg;
     let mut order: Vec<usize> = Vec::with_capacity(groups.len());
     let mut ordered = vec![false; groups.len()];
+    let mut remaining = vec![false; groups.len()];
+    let mut in_frontier = vec![false; groups.len()];
+    let mut frontier: Vec<usize> = Vec::new();
     for set in &ctx.sets {
-        let mut remaining: BTreeSet<usize> = set.iter().copied().collect();
-        while !remaining.is_empty() {
-            let td: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&v| sg.preds[v].iter().any(|&p| ordered[p]))
-                .collect();
-            let bu: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&v| sg.succs[v].iter().any(|&s| ordered[s]))
-                .collect();
-            let (mut frontier, dir): (BTreeSet<usize>, Direction) =
-                if !td.is_empty() && bu.is_empty() {
-                    (td.into_iter().collect(), Direction::TopDown)
-                } else if !bu.is_empty() && td.is_empty() {
-                    (bu.into_iter().collect(), Direction::BottomUp)
-                } else if td.is_empty() && bu.is_empty() {
-                    ([seed(&remaining)].into_iter().collect(), Direction::TopDown)
-                } else {
-                    (td.into_iter().collect(), Direction::TopDown)
-                };
-            while let Some(v) = pick(&frontier, &remaining, dir) {
-                frontier.remove(&v);
-                if !remaining.remove(&v) {
-                    continue;
+        let mut left = 0usize;
+        for &v in set {
+            if !remaining[v] {
+                remaining[v] = true;
+                left += 1;
+            }
+        }
+        while left > 0 {
+            // Expand top-down from ordered predecessors when any exist,
+            // else bottom-up from ordered successors, else seed afresh.
+            for &v in set {
+                if remaining[v] && sg.preds[v].iter().any(|&p| ordered[p]) {
+                    push(v, &mut frontier, &mut in_frontier);
                 }
+            }
+            let mut dir = Direction::TopDown;
+            if frontier.is_empty() {
+                for &v in set {
+                    if remaining[v] && sg.succs[v].iter().any(|&s| ordered[s]) {
+                        push(v, &mut frontier, &mut in_frontier);
+                    }
+                }
+                dir = Direction::BottomUp;
+            }
+            if frontier.is_empty() {
+                let seed = set
+                    .iter()
+                    .copied()
+                    .filter(|&v| remaining[v])
+                    .min_by_key(|&v| seed_key(v))
+                    .expect("non-empty");
+                push(seed, &mut frontier, &mut in_frontier);
+                dir = Direction::TopDown;
+            }
+            while let Some(v) = pick(&frontier, &remaining, dir) {
+                let at =
+                    frontier.iter().position(|&w| w == v).expect("picked from the frontier");
+                frontier.swap_remove(at);
+                in_frontier[v] = false;
+                // Only remaining groups enter the frontier, and a group
+                // leaves `remaining` only when picked off it.
+                debug_assert!(remaining[v]);
+                remaining[v] = false;
+                left -= 1;
                 ordered[v] = true;
                 order.push(v);
                 let next = match dir {
@@ -237,14 +286,22 @@ pub(crate) fn frontier_walk(
                     Direction::BottomUp => &sg.preds[v],
                 };
                 for &w in next {
-                    if remaining.contains(&w) {
-                        frontier.insert(w);
+                    if remaining[w] {
+                        push(w, &mut frontier, &mut in_frontier);
                     }
                 }
             }
         }
     }
     order.into_iter().map(|gi| groups.leader(gi)).collect()
+}
+
+/// Adds `v` to the frontier unless it is already there.
+fn push(v: usize, frontier: &mut Vec<usize>, in_frontier: &mut [bool]) {
+    if !in_frontier[v] {
+        in_frontier[v] = true;
+        frontier.push(v);
+    }
 }
 
 /// Picks the next group from the frontier.
@@ -255,15 +312,12 @@ pub(crate) fn frontier_walk(
 /// versa) can anchor the two against different neighbours and leave the
 /// in-between node an unsatisfiable window at every II. Ties fall back to
 /// criticality, then mobility, then index.
-#[allow(clippy::too_many_arguments)]
 fn pick(
-    frontier: &BTreeSet<usize>,
-    remaining: &BTreeSet<usize>,
+    frontier: &[usize],
+    remaining: &[bool],
     sg: &crate::loop_analysis::SuperGraph,
     dir: Direction,
-    g_asap: &[i64],
-    g_alap: &[i64],
-    g_mob: &[i64],
+    p: &GroupPriorities,
     horizon: i64,
 ) -> Option<usize> {
     frontier.iter().copied().min_by_key(|&v| {
@@ -271,14 +325,14 @@ fn pick(
             Direction::TopDown => &sg.preds[v],
             Direction::BottomUp => &sg.succs[v],
         };
-        let not_ready = blocked_by.iter().any(|w| remaining.contains(w) && *w != v);
+        let not_ready = blocked_by.iter().any(|&w| remaining[w] && w != v);
         let criticality = match dir {
             // Top-down: prefer the node with the longest path below it.
-            Direction::TopDown => -(horizon - g_alap[v]),
+            Direction::TopDown => -(horizon - p.alap[v]),
             // Bottom-up: prefer the node with the longest path above it.
-            Direction::BottomUp => -g_asap[v],
+            Direction::BottomUp => -p.asap[v],
         };
-        (not_ready, criticality, g_mob[v], v)
+        (not_ready, criticality, p.mob[v], v)
     })
 }
 

@@ -223,11 +223,15 @@ pub trait Scheduler {
 }
 
 /// A defensive upper bound on the II at which scheduling always succeeds:
-/// the fully sequential schedule (sum of occupancies and latencies).
+/// the fully sequential schedule (sum of occupancies and latencies, plus
+/// the stagger of every bond, which stretches its group by that much).
 pub fn fallback_max_ii(ddg: &Ddg, machine: &MachineConfig) -> u32 {
     let mut total: u64 = 1;
     for (_, n) in ddg.ops() {
         total += u64::from(machine.latency(n.kind()).max(machine.occupancy(n.kind())));
+    }
+    for e in ddg.edges().filter(|e| e.is_fixed()) {
+        total += u64::from(e.stagger());
     }
     u32::try_from(total.min(u64::from(u32::MAX))).unwrap_or(u32::MAX)
 }

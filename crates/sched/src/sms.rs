@@ -36,15 +36,10 @@
 //! The worked comparison of both orderings on the same kernels lives in
 //! `docs/algorithms.md`.
 
-use std::collections::BTreeSet;
-
 use regpipe_ddg::{Ddg, OpId};
 use regpipe_machine::MachineConfig;
 
-use crate::analysis::TimeAnalysis;
-use crate::hrms::{
-    frontier_walk, group_priorities, place_order, Direction, PlaceMode, PlaceScratch,
-};
+use crate::hrms::{frontier_walk, search_ii, Direction, GroupPriorities};
 use crate::loop_analysis::LoopAnalysis;
 use crate::{SchedError, SchedRequest, Schedule, Scheduler};
 
@@ -75,7 +70,9 @@ impl SmsScheduler {
     pub fn ordering(&self, ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Option<Vec<OpId>> {
         let ctx = LoopAnalysis::new(ddg, machine);
         let analysis = ctx.time_analysis(ii, None)?;
-        Some(swing_ordering(&ctx, &analysis))
+        let mut priorities = GroupPriorities::default();
+        priorities.fill(&ctx, &analysis);
+        Some(swing_ordering(&ctx, &priorities))
     }
 }
 
@@ -98,42 +95,7 @@ impl Scheduler for SmsScheduler {
         ctx: &LoopAnalysis<'_>,
         request: &SchedRequest,
     ) -> Result<Schedule, SchedError> {
-        let lower = ctx.mii().max(request.min_ii.unwrap_or(1));
-        let upper = request.max_ii.unwrap_or_else(|| ctx.fallback_max_ii());
-        if upper < lower {
-            return Err(SchedError::InfeasibleRequest { min_ii: lower, max_ii: upper });
-        }
-        let mut scratch = PlaceScratch::new(ctx.ddg().num_ops());
-        let mut tried = 0u32;
-        let mut prev: Option<TimeAnalysis> = None;
-        for ii in lower..=upper {
-            tried += 1;
-            let Some(analysis) = ctx.time_analysis(ii, prev.as_ref()) else {
-                continue;
-            };
-            let order = swing_ordering(ctx, &analysis);
-            if let Some(starts) =
-                place_order(ctx, ii, &order, &analysis, PlaceMode::Hrms, &mut scratch)
-            {
-                return Ok(Schedule::with_provenance(ii, starts, "sms", tried));
-            }
-            // The swing order has no readiness gate, so both-sided windows
-            // can wedge at tight IIs; fall back to the context's forward
-            // topological order with ASAP-clamped placement before moving
-            // on, exactly as HRMS does, so the search always converges.
-            if let Some(starts) = place_order(
-                ctx,
-                ii,
-                &ctx.fallback,
-                &analysis,
-                PlaceMode::AsapClamped,
-                &mut scratch,
-            ) {
-                return Ok(Schedule::with_provenance(ii, starts, "sms", tried));
-            }
-            prev = Some(analysis);
-        }
-        Err(SchedError::NoScheduleUpTo { max_ii: upper })
+        search_ii(ctx, request, "sms", swing_ordering)
     }
 }
 
@@ -142,21 +104,14 @@ impl Scheduler for SmsScheduler {
 /// its connecting path nodes, then the acyclic rest), emitting at each
 /// step the frontier group with the best swing priority for the sweep
 /// direction.
-pub(crate) fn swing_ordering(ctx: &LoopAnalysis<'_>, analysis: &TimeAnalysis) -> Vec<OpId> {
-    let (g_asap, g_alap, g_mob) = group_priorities(ctx, analysis);
+pub(crate) fn swing_ordering(ctx: &LoopAnalysis<'_>, p: &GroupPriorities) -> Vec<OpId> {
     frontier_walk(
         ctx,
         // Fresh start: the least slack, then the tightest deadline — the
         // node whose placement window the rest of the set must be
         // arranged around.
-        |remaining| {
-            remaining
-                .iter()
-                .copied()
-                .min_by_key(|&v| (g_mob[v], g_alap[v], v))
-                .expect("non-empty")
-        },
-        |frontier, _remaining, dir| pick_swing(frontier, dir, &g_asap, &g_alap, &g_mob),
+        |v| (p.mob[v], p.alap[v], v),
+        |frontier, _remaining, dir| pick_swing(frontier, dir, p),
     )
 }
 
@@ -164,19 +119,13 @@ pub(crate) fn swing_ordering(ctx: &LoopAnalysis<'_>, analysis: &TimeAnalysis) ->
 /// (smallest ALAP) top-down, deepest origin (largest ASAP) bottom-up; ties
 /// by smaller mobility, then index. Unlike the HRMS pick there is no
 /// readiness gate — the swing is followed unconditionally.
-fn pick_swing(
-    frontier: &BTreeSet<usize>,
-    dir: Direction,
-    g_asap: &[i64],
-    g_alap: &[i64],
-    g_mob: &[i64],
-) -> Option<usize> {
+fn pick_swing(frontier: &[usize], dir: Direction, p: &GroupPriorities) -> Option<usize> {
     frontier.iter().copied().min_by_key(|&v| {
         let swing = match dir {
-            Direction::TopDown => g_alap[v],
-            Direction::BottomUp => -g_asap[v],
+            Direction::TopDown => p.alap[v],
+            Direction::BottomUp => -p.asap[v],
         };
-        (swing, g_mob[v], v)
+        (swing, p.mob[v], v)
     })
 }
 

@@ -529,3 +529,29 @@ fn suite_rejects_bad_jobs_and_size() {
         assert!(stderr.contains("must be a positive integer"), "{args:?}: {stderr}");
     }
 }
+
+/// Regression: the fallback II ceiling ignored bond staggers, so II relief
+/// on a long staggered bond hit the ceiling long before the stage count
+/// reached 1 and `compile` failed with the internal message
+/// `requested II range [7, 6] is empty`. A `reg!+5` bond always compiled;
+/// a `reg!+500` bond must compile too.
+#[test]
+fn compile_handles_long_staggered_bonds() {
+    let dir = scratch_dir("stagger");
+    for (stagger, summary) in [
+        (5, "anonymous: II = 1 (MII 1), registers = 9/32, spilled = 0, strategy = Spill\n"),
+        (500, "anonymous: II = 16 (MII 1), registers = 32/32, spilled = 0, strategy = Spill\n"),
+    ] {
+        let ddg = dir.join(format!("bond{stagger}.ddg"));
+        fs::write(&ddg, format!("op a add\nop b store\nedge a -> b reg!+{stagger}\n"))
+            .expect("write ddg");
+        let out = run_ok({
+            let mut c = bin();
+            c.arg("compile").arg(&ddg);
+            c
+        });
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.starts_with(summary), "reg!+{stagger}: {stdout}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
