@@ -25,6 +25,11 @@ pub enum Strategy {
     BestOfAll,
 }
 
+impl Strategy {
+    /// Every strategy, in the order reports and CLI defaults list them.
+    pub const ALL: [Strategy; 3] = [Strategy::BestOfAll, Strategy::Spill, Strategy::IncreaseIi];
+}
+
 /// Options for [`compile`].
 #[derive(Clone, Copy, Debug)]
 pub struct CompileOptions {

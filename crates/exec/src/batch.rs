@@ -281,14 +281,12 @@ pub fn strategy_slug(strategy: Strategy) -> &'static str {
 ///
 /// # Errors
 ///
-/// Names the unknown value.
+/// Names the unknown value and lists the strategies.
 pub fn parse_strategy(raw: &str) -> Result<Strategy, String> {
-    match raw {
-        "best" => Ok(Strategy::BestOfAll),
-        "spill" => Ok(Strategy::Spill),
-        "increase-ii" => Ok(Strategy::IncreaseIi),
-        other => Err(format!("unknown strategy '{other}'")),
-    }
+    Strategy::ALL.into_iter().find(|&s| strategy_slug(s) == raw).ok_or_else(|| {
+        let [rest @ .., last] = Strategy::ALL.map(strategy_slug);
+        format!("unknown strategy '{raw}' (expected {} or {last})", rest.join(", "))
+    })
 }
 
 /// Runs every `loop × budget × strategy` cell of `req` over `loops`,
@@ -439,9 +437,12 @@ mod tests {
 
     #[test]
     fn strategy_slugs_roundtrip() {
-        for s in [Strategy::BestOfAll, Strategy::Spill, Strategy::IncreaseIi] {
+        for s in Strategy::ALL {
             assert_eq!(parse_strategy(strategy_slug(s)).unwrap(), s);
         }
-        assert!(parse_strategy("bogus").is_err());
+        assert_eq!(
+            parse_strategy("bogus").unwrap_err(),
+            "unknown strategy 'bogus' (expected best, spill or increase-ii)"
+        );
     }
 }

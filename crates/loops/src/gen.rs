@@ -51,6 +51,42 @@ pub enum WeightDist {
     },
 }
 
+/// The `regpipe gen --weights` spelling: `const:<w>`, `uniform:<lo>,<hi>`
+/// or `log:<lo>,<hi>`.
+impl std::str::FromStr for WeightDist {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        fn pair<'a>(rest: &'a str, kind: &str) -> Result<(&'a str, &'a str), String> {
+            rest.split_once(',')
+                .map(|(a, b)| (a.trim(), b.trim()))
+                .ok_or_else(|| format!("weight spec {kind}: expected '{kind}:<lo>,<hi>'"))
+        }
+        let (kind, rest) =
+            spec.split_once(':').ok_or_else(|| format!("bad weight spec '{spec}'"))?;
+        match kind {
+            "const" => {
+                let w: u64 =
+                    rest.parse().map_err(|_| format!("bad constant weight '{rest}'"))?;
+                Ok(WeightDist::Constant(w))
+            }
+            "uniform" => {
+                let (lo, hi) = pair(rest, kind)?;
+                let lo: u64 = lo.parse().map_err(|_| format!("bad weight bound '{lo}'"))?;
+                let hi: u64 = hi.parse().map_err(|_| format!("bad weight bound '{hi}'"))?;
+                Ok(WeightDist::Uniform { lo, hi })
+            }
+            "log" => {
+                let (lo, hi) = pair(rest, kind)?;
+                let lo_exp: f64 = lo.parse().map_err(|_| format!("bad exponent '{lo}'"))?;
+                let hi_exp: f64 = hi.parse().map_err(|_| format!("bad exponent '{hi}'"))?;
+                Ok(WeightDist::LogUniform { lo_exp, hi_exp })
+            }
+            other => Err(format!("unknown weight distribution '{other}'")),
+        }
+    }
+}
+
 /// Knobs of the synthetic-kernel generator.
 ///
 /// The defaults produce mid-size kernels with the suite's heavy-tailed
@@ -214,6 +250,16 @@ pub fn generate_one(rng: &mut StdRng, name: String, params: &GenParams) -> Bench
 mod tests {
     use super::*;
     use regpipe_ddg::textfmt;
+
+    #[test]
+    fn weight_specs_parse_and_name_bad_input() {
+        assert_eq!("log:2,4.2".parse(), Ok(GenParams::default().weights));
+        assert_eq!("const:7".parse(), Ok(WeightDist::Constant(7)));
+        assert_eq!("uniform:1, 9".parse(), Ok(WeightDist::Uniform { lo: 1, hi: 9 }));
+        let err = "zipf:3".parse::<WeightDist>().unwrap_err();
+        assert_eq!(err, "unknown weight distribution 'zipf'");
+        assert!("log:2".parse::<WeightDist>().is_err());
+    }
 
     #[test]
     fn generation_is_byte_stable_and_prefix_stable() {

@@ -96,8 +96,9 @@ pub fn eliminate_dead_ops(ddg: &Ddg) -> DceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::{candidates, select, SelectHeuristic};
+    use crate::candidate::{candidates, SelectHeuristic};
     use crate::rewrite::spill;
+    use crate::{RankContext, SpillPolicy, SpillPolicyKind};
     use regpipe_ddg::{DdgBuilder, OpKind};
     use regpipe_regalloc::LifetimeAnalysis;
     use regpipe_sched::Schedule;
@@ -195,7 +196,9 @@ mod tests {
         let sched = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
         let analysis = LifetimeAnalysis::new(&g, &sched);
         let pool = candidates(&g, &analysis);
-        let victim = select(&pool, SelectHeuristic::MaxLt).unwrap().clone();
+        let ctx =
+            RankContext { analysis: &analysis, heuristic: SelectHeuristic::MaxLt, round: 0 };
+        let victim = SpillPolicyKind::Paper.select(&pool, &ctx).unwrap().clone();
         spill(&mut g, &victim);
         let r = eliminate_dead_ops(&g);
         let post = HrmsScheduler::new()

@@ -214,7 +214,8 @@ fn attach_reload(ddg: &mut Ddg, load: OpId, consumer: OpId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::{candidates, select, SelectHeuristic};
+    use crate::candidate::{candidates, SelectHeuristic};
+    use crate::{RankContext, SpillPolicy, SpillPolicyKind};
     use regpipe_ddg::DdgBuilder;
     use regpipe_regalloc::LifetimeAnalysis;
     use regpipe_sched::Schedule;
@@ -329,7 +330,9 @@ mod tests {
         let analysis = LifetimeAnalysis::new(&g, &s);
         let all = candidates(&g, &analysis);
         let n_before = all.len();
-        let best = select(&all, SelectHeuristic::MaxLt).unwrap().clone();
+        let ctx =
+            RankContext { analysis: &analysis, heuristic: SelectHeuristic::MaxLt, round: 0 };
+        let best = SpillPolicyKind::Paper.select(&all, &ctx).unwrap().clone();
         spill(&mut g, &best);
         // Re-analyse: the fresh spill lifetimes are non-spillable, so the
         // candidate pool can only shrink (deadlock avoidance, Section 4.3).
@@ -349,7 +352,9 @@ mod tests {
             let s = Schedule::new(1, (0..g.num_ops() as i64).map(|i| 2 * i).collect());
             let analysis = LifetimeAnalysis::new(&g, &s);
             let cands = candidates(&g, &analysis);
-            let Some(best) = select(&cands, SelectHeuristic::MaxLtOverTraffic) else {
+            let heuristic = SelectHeuristic::MaxLtOverTraffic;
+            let ctx = RankContext { analysis: &analysis, heuristic, round: 0 };
+            let Some(best) = SpillPolicyKind::Paper.select(&cands, &ctx) else {
                 break;
             };
             let best = best.clone();

@@ -3,15 +3,21 @@
 //! the built-in synthetic loops or an on-disk corpus, and generate or
 //! validate such corpora.
 //!
-//! Run `regpipe help` (or `regpipe help <command>`) for the full usage;
-//! the same text is kept in [`usage`] below. The input formats are
-//! specified in `docs/formats.md` (`regpipe_ddg::textfmt` for loops,
-//! `regpipe_machine::textfmt` for machine descriptions).
+//! Every verb, its positional argument and its flags are declared once, in
+//! [`VERBS`]. One parser ([`parse`]) checks argv against that table and one
+//! renderer ([`section`]) prints `regpipe help [command]` from it. Registry
+//! flags check, parse and render through the registries themselves, so a
+//! new scheduler, spill policy or strategy needs no edit here. The input
+//! formats are specified in `docs/formats.md` (`regpipe_ddg::textfmt` for
+//! loops, `regpipe_machine::textfmt` for machine descriptions).
 
+use std::collections::BTreeMap;
 use std::fs;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use regpipe::core::{compile, CompileOptions, SpillPolicyKind};
+use regpipe::core::{compile, CompileOptions, SpillPolicyKind, Strategy};
 use regpipe::ddg::{textfmt, to_dot, Ddg};
 use regpipe::exec::{parse_strategy, resolve_jobs, run_batch, strategy_slug, BatchRequest};
 use regpipe::loops::{
@@ -30,26 +36,18 @@ use regpipe::serve::{replay_socket, request_once, run_chaos, write_responses, Ch
 use regpipe::spill::SelectHeuristic;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("info") => cmd_info(&args[1..]),
-        Some("compile") => cmd_compile(&args[1..]),
-        Some("suite") => cmd_suite(&args[1..]),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("gap") => cmd_gap(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("bench-serve") => cmd_bench_serve(&args[1..]),
-        // Help goes to stdout and succeeds; `regpipe help <command>`
-        // narrows to one subcommand.
-        Some("--help" | "-h" | "help") | None => {
-            print!("{}", usage(args.get(1).map(String::as_str)));
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command '{other}'")),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let result = match argv.split_first() {
+        None => help(&[]),
+        Some((first, rest)) => match first.as_str() {
+            // Help goes to stdout and succeeds; `regpipe help <command>`
+            // narrows to one command.
+            "--help" | "-h" | "help" => help(rest),
+            name => match find_verb(name) {
+                Some(verb) => parse(verb, rest).and_then(|args| (verb.run)(&args)),
+                None => Err(format!("unknown command '{name}' (see `regpipe help`)")),
+            },
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -60,305 +58,573 @@ fn main() -> ExitCode {
     }
 }
 
-/// The full usage text, or one subcommand's section.
-fn usage(topic: Option<&str>) -> String {
-    let info = "\
-regpipe info <file.ddg> [--machine M] [--scheduler S]
-  Facts about a loop: op mix, MII/RecMII, recurrences, and the
-  unconstrained schedule's II and register requirement.
-  --scheduler hrms|sms|asap|exact                      (default hrms)
-  --spill-policy paper|min-next-use|furthest-next-use|round-robin
-                    accepted for interface uniformity; the unconstrained
-                    schedule never spills                (default paper)
-";
-    let compile_ = "\
-regpipe compile <file.ddg> [options]
-  Schedule a loop under a register budget.
-  --machine p1l4|p2l4|p2l6|uniform:<units>,<latency>   (default p2l4)
-  --regs <n>                                           (default 32)
-  --strategy best|spill|increase-ii                    (default best)
-  --scheduler hrms|sms|asap|exact                      (default hrms)
-  --heuristic lt|lt-traf                               (default lt-traf)
-  --spill-policy paper|min-next-use|furthest-next-use|round-robin
-                    victim-ranking policy for spilling   (default paper)
-  --emit kernel|pipeline|dot|text                      (default kernel)
-";
-    let suite_ = "\
-regpipe suite [options]
-  Run the evaluation suite: every loop x budget x strategy cell is an
-  independent compile call, fanned out across worker threads with
-  deterministic (thread-count-independent) results, and the report is
-  written as machine-readable JSON.
-  --corpus <dir>    run an on-disk corpus (see `regpipe gen`/`check`)
-                    instead of the built-in synthetic suite; a .mach
-                    file in the corpus sets the machine unless --machine
-                    is given explicitly
-  --size <n>        suite size  (default: REGPIPE_SUITE_SIZE, then 1258)
-  --seed <s>        suite seed  (default 49626)
-  --jobs <n>        worker threads (default: REGPIPE_JOBS, then all cores)
-  --machine <m>     as for compile                     (default p2l4)
-  --budgets <list>  comma-separated register budgets   (default 64,32)
-  --strategies <l>  comma-separated strategies         (default best,spill,increase-ii)
-  --scheduler <s>   core scheduler: hrms|sms|asap|exact (default hrms)
-  --spill-policy <p> paper|min-next-use|furthest-next-use|round-robin
-                    (default paper; recorded in the report's spill_policy
-                    field — BENCH_suite.json schema is v3)
-  --out <file>      report path                        (default BENCH_suite.json)
+/// One command: its name and positional metavar as help shows them
+/// (`compile <file.ddg>`), what it does, its flags in help order (shared
+/// groups spliced in as whole slices) and its body.
+struct Verb {
+    spec: &'static str,
+    about: &'static str,
+    flags: &'static [&'static [Flag]],
+    run: fn(&Args) -> Result<(), String>,
+}
 
-regpipe suite --dir <dir> [--size N] [--seed S]
-  Emit the archetype-mix synthetic suite as .ddg files instead of
-  running it (default size 100). For knob-controlled corpora use
-  `regpipe gen`.
-";
-    let gen_ = "\
-regpipe gen --out <dir> [options]
-  Materialize a synthetic-kernel corpus as .ddg files (with # weight
+impl Verb {
+    fn name(&self) -> &'static str {
+        self.spec.split_once(' ').map_or(self.spec, |(name, _)| name)
+    }
+
+    fn positional(&self) -> Option<&'static str> {
+        self.spec.split_once(' ').map(|(_, metavar)| metavar)
+    }
+
+    fn flags(&self) -> impl Iterator<Item = &Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+
+    fn flag(&self, name: &str) -> Option<&Flag> {
+        self.flags().find(|f| f.name() == name)
+    }
+}
+
+/// One flag: its spelling and metavar as help shows them (`--regs <n>`),
+/// the value kind, the value used when it is absent (`""` for none,
+/// checked like a given one) and one line of help.
+struct Flag {
+    spec: &'static str,
+    kind: Kind,
+    default: &'static str,
+    help: &'static str,
+}
+
+const fn flag(
+    spec: &'static str,
+    kind: Kind,
+    default: &'static str,
+    help: &'static str,
+) -> Flag {
+    Flag { spec, kind, default, help }
+}
+
+impl Flag {
+    fn name(&self) -> &'static str {
+        self.spec.split_once(' ').map_or(self.spec, |(name, _)| name)
+    }
+
+    /// The default; registry flags take the registry's own.
+    fn default(&self) -> Option<&'static str> {
+        match self.kind {
+            Kind::Scheduler => Some(SchedulerKind::default().slug()),
+            Kind::SpillPolicy => Some(SpillPolicyKind::default().slug()),
+            _ => Some(self.default).filter(|d| !d.is_empty()),
+        }
+    }
+
+    /// The spec, with registry and choice kinds listing their values.
+    fn head(&self) -> String {
+        let values = match self.kind {
+            Kind::Strategy => Strategy::ALL.map(strategy_slug).join("|"),
+            Kind::Scheduler => SchedulerKind::ALL.map(SchedulerKind::slug).join("|"),
+            Kind::SpillPolicy => SpillPolicyKind::ALL.map(SpillPolicyKind::slug).join("|"),
+            Kind::Choice(words) => words.join("|"),
+            _ => return self.spec.to_string(),
+        };
+        format!("{} {values}", self.spec)
+    }
+}
+
+/// What a flag's value must be; [`Kind::check`] validates a raw value.
+#[derive(Clone, Copy)]
+enum Kind {
+    Switch,
+    /// An integer in `min..=max`.
+    Int(u64, u64),
+    Float,
+    /// Comma-separated integers, each in `min..=max`.
+    Ints(u64, u64),
+    Strategy,
+    Strategies,
+    Scheduler,
+    SpillPolicy,
+    Machine,
+    /// One of a fixed set of words.
+    Choice(&'static [&'static str]),
+    /// A file-system path, named by the noun in errors.
+    Path(&'static str),
+    /// A generator weight distribution (`WeightDist`'s text form).
+    Weights,
+}
+
+const USIZE: u64 = usize::MAX as u64;
+const U32: u64 = u32::MAX as u64;
+const POSITIVE: Kind = Kind::Int(1, USIZE);
+const POSITIVE_U64: Kind = Kind::Int(1, u64::MAX);
+const U64: Kind = Kind::Int(0, u64::MAX);
+const DIR: Kind = Kind::Path("directory");
+const FILE: Kind = Kind::Path("file");
+const EMIT: Kind = Kind::Choice(&["kernel", "pipeline", "dot", "text"]);
+
+impl Kind {
+    fn check(self, flag: &str, raw: &str) -> Result<(), String> {
+        match self {
+            Kind::Switch | Kind::Path(_) => Ok(()),
+            Kind::Int(min, max) => check_int(flag, raw, min, max),
+            Kind::Float => raw
+                .parse::<f64>()
+                .map(drop)
+                .map_err(|_| format!("{flag} must be a number, got '{raw}'")),
+            Kind::Ints(min, max) => list(raw, |n| check_int(flag, n, min, max)).map(drop),
+            Kind::Strategy => parse_strategy(raw).map(drop),
+            Kind::Strategies => list(raw, parse_strategy).map(drop),
+            Kind::Scheduler => SchedulerKind::parse(raw).map(drop),
+            Kind::SpillPolicy => SpillPolicyKind::parse(raw).map(drop),
+            Kind::Machine => MachineConfig::parse_spec(raw).map(drop),
+            Kind::Weights => raw.parse::<WeightDist>().map(drop),
+            Kind::Choice(words) if words.contains(&raw) => Ok(()),
+            Kind::Choice(words) => {
+                Err(format!("unknown {flag} '{raw}' (expected {})", words.join("|")))
+            }
+        }
+    }
+}
+
+fn check_int(flag: &str, raw: &str, min: u64, max: u64) -> Result<(), String> {
+    if raw.parse().is_ok_and(|n: u64| (min..=max).contains(&n)) {
+        return Ok(());
+    }
+    let what = match min {
+        _ if max < USIZE => format!("an integer from {min} to {max}"),
+        0 => "a non-negative integer".into(),
+        1 => "a positive integer".into(),
+        _ => format!("an integer >= {min}"),
+    };
+    Err(format!("{flag} must be {what}, got '{raw}'"))
+}
+
+/// Parses a comma-separated list; every flag's entries are trimmed alike.
+fn list<T, E>(raw: &str, item: impl Fn(&str) -> Result<T, E>) -> Result<Vec<T>, E> {
+    raw.split(',').map(|entry| item(entry.trim())).collect()
+}
+
+// Flags shared by several verbs, declared once with a default per verb.
+
+const MACHINE: Flag =
+    flag("--machine <m>", Kind::Machine, "p2l4", "p1l4|p2l4|p2l6|uniform:<units>,<latency>");
+const SCHEDULER: Flag = flag("--scheduler", Kind::Scheduler, "", "core modulo scheduler");
+const STRATEGY: Flag = flag("--strategy", Kind::Strategy, "best", "reduction strategy");
+const STRATEGIES: Flag =
+    flag("--strategies <list>", Kind::Strategies, "best,spill,increase-ii", "strategies");
+const JOBS: Flag =
+    flag("--jobs <n>", POSITIVE, "", "worker threads (default: REGPIPE_JOBS, then all cores)");
+const NO_CACHE: Flag = flag("--no-cache", Kind::Switch, "", "disable the result cache");
+
+const fn spill_policy(help: &'static str) -> Flag {
+    flag("--spill-policy", Kind::SpillPolicy, "", help)
+}
+
+const fn budgets(default: &'static str) -> Flag {
+    flag("--budgets <list>", Kind::Ints(0, U32), default, "register budgets")
+}
+
+/// The daemon configuration, read through [`serve_options`] by `serve`
+/// and by in-process `replay`.
+const DAEMON: &[Flag] = &[
+    NO_CACHE,
+    flag("--cache-bytes <n>", POSITIVE, "67108864", "total cache budget in bytes"),
+    flag("--shards <n>", POSITIVE, "8", "cache shards"),
+    flag("--max-request-bytes <n>", POSITIVE, "1048576", "per-line request bound"),
+    flag("--cache-dir <dir>", DIR, "", "persist the cache to a crash-safe append log"),
+    flag("--compact-appends <n>", POSITIVE_U64, "8192", "appends between compactions"),
+    flag("--deadline-ms <n>", POSITIVE_U64, "", "per-compile cooperative deadline"),
+    flag("--drain-ms <n>", POSITIVE_U64, "2000", "shutdown drain bound"),
+];
+
+/// Every verb, in help order.
+static VERBS: &[Verb] = &[
+    Verb {
+        spec: "info <file.ddg>",
+        about: "  Facts about a loop: op mix, MII/RecMII, recurrences, and the
+  unconstrained schedule's II and register requirement.
+",
+        flags: &[&[MACHINE, SCHEDULER, spill_policy("checked; the schedule never spills")]],
+        run: cmd_info,
+    },
+    Verb {
+        spec: "compile <file.ddg>",
+        about: "  Schedule a loop under a register budget.
+",
+        flags: &[&[
+            MACHINE,
+            flag("--regs <n>", Kind::Int(0, U32), "32", "register budget"),
+            STRATEGY,
+            SCHEDULER,
+            flag("--heuristic", Kind::Choice(&["lt", "lt-traf"]), "lt-traf", "Max(LT)[/Traf]"),
+            spill_policy("victim-ranking policy for spilling"),
+            flag("--emit", EMIT, "kernel", "what to print after the summary"),
+        ]],
+        run: cmd_compile,
+    },
+    Verb {
+        spec: "suite",
+        about: "  Run the evaluation suite: every loop x budget x strategy cell is an
+  independent compile call, fanned out across worker threads with deterministic
+  results, and the report is written as JSON (BENCH_suite.json schema v3). With
+  --corpus, run an on-disk corpus (see `regpipe gen`/`check`); its .mach file
+  sets the machine unless --machine is given. With --dir, emit the archetype-mix
+  suite as .ddg files instead (default size 100).
+",
+        flags: &[&[
+            flag("--corpus <dir>", DIR, "", "run an on-disk corpus"),
+            flag("--dir <dir>", DIR, "", "emit the suite as .ddg files"),
+            flag("--size <n>", POSITIVE, "", "suite size (default: REGPIPE_SUITE_SIZE, 1258)"),
+            flag("--seed <s>", U64, "49626", "suite seed"),
+            JOBS,
+            MACHINE,
+            budgets("64,32"),
+            STRATEGIES,
+            SCHEDULER,
+            spill_policy("victim-ranking policy, recorded in the report"),
+            flag("--out <file>", FILE, "BENCH_suite.json", "report path"),
+        ]],
+        run: cmd_suite,
+    },
+    Verb {
+        spec: "gen",
+        about: "  Materialize a synthetic-kernel corpus as .ddg files (with # weight
   headers). Deterministic: the same seed and knobs reproduce the corpus
-  byte-for-byte, and a larger --count extends a smaller one in place.
-  --out <dir>       output directory                   (required)
-  --seed <s>        generator seed                     (default 49626)
-  --count <k>       number of kernels                  (default 100)
-  --min-ops <n>     fewest ops per kernel              (default 4)
-  --max-ops <n>     most ops per kernel                (default 24)
-  --rec-density <f> recurrence probability per op, 0-1 (default 0.25)
-  --invariants <n>  max loop invariants per kernel     (default 4)
-  --weights <d>     const:<w> | uniform:<lo>,<hi> | log:<lo>,<hi>
-                    (default log:2,4.2 — heavy-tailed 10^U(lo,hi))
-";
-    let check_ = "\
-regpipe check <dir>
-  Validate a corpus directory without compiling: parse every .ddg and
+  byte-for-byte, and a larger --count extends a smaller one in place. The
+  --weights forms are const:<w>, uniform:<lo>,<hi> and log:<lo>,<hi> (10^U(lo,hi)).
+",
+        flags: &[&[
+            flag("--out <dir>", DIR, "", "output directory (required)"),
+            flag("--seed <s>", U64, "49626", "generator seed"),
+            flag("--count <k>", POSITIVE, "100", "number of kernels"),
+            flag("--min-ops <n>", POSITIVE, "4", "fewest ops per kernel"),
+            flag("--max-ops <n>", POSITIVE, "24", "most ops per kernel"),
+            flag("--rec-density <f>", Kind::Float, "0.25", "recurrence probability per op"),
+            flag("--invariants <n>", Kind::Int(0, USIZE), "4", "most invariants per kernel"),
+            flag("--weights <d>", Kind::Weights, "log:2,4.2", "weight distribution"),
+        ]],
+        run: cmd_gen,
+    },
+    Verb {
+        spec: "check <dir>",
+        about: "  Validate a corpus directory without compiling: parse every .ddg and
   .mach file, reporting every problem as file:line: message. Exits 0
   only if the whole corpus is well-formed.
-";
-    let bench_ = "\
-regpipe bench [options]
-  Wall-time the full compile path (schedule/allocate/spill/reschedule)
-  over seeded `gen` corpora at several kernel sizes and write the result
-  as machine-readable JSON (schema regpipe-bench-compile/v3). By default
-  only deterministic work counters are emitted so runs byte-compare;
-  set REGPIPE_BENCH_TIMING=1 to run the sampling loop and include
-  mean_wall_us per size (see docs/performance.md).
-  --sizes <list>    comma-separated op counts    (default 16,48,96,160,256)
-  --count <k>       kernels per size             (default 12)
-  --seed <s>        generator seed               (default 49626)
-  --machine <m>     as for compile               (default p2l4)
-  --budgets <list>  register budgets             (default 64,32)
-  --strategies <l>  strategies                   (default best,spill,increase-ii)
-  --scheduler <s>   core scheduler: hrms|sms|asap|exact (default hrms)
-  --spill-policy <p> paper|min-next-use|furthest-next-use|round-robin
-                    (default paper)
-  --before <file>   a previous timed BENCH_compile.json; records its
-                    mean_wall_us per size plus the speedup in the output
-  --out <file>      report path                  (default BENCH_compile.json)
-";
-    let gap_ = "\
-regpipe gap [options]
-  Measure heuristic optimality gaps: schedule a corpus with the exact
-  branch-and-bound oracle and every registered heuristic, and write
-  BENCH_gap.json (schema regpipe-bench-gap/v2) with per-loop and
-  aggregate II/SC/MaxLive gaps plus proven/unproven counts. Gaps are
-  attributed only to loops whose optimum the oracle proved within its
-  node budget. Every loop is also compiled under --spill-budget once
-  per registered spill policy; the report's spill_policies section
-  totals spill counts and achieved IIs with deltas against the
-  --spill-policy baseline (over the loops every policy fitted). The
-  report carries no timing fields, so runs byte-compare at any --jobs
-  value.
-  --corpus <dir>    gap an on-disk corpus (see `regpipe gen`/`check`)
-                    instead of a generated one; a .mach file in the
-                    corpus sets the machine unless --machine is given
-  --seed <s>        generator seed               (default 7)
-  --count <k>       kernels                      (default 100)
-  --max-ops <n>     most ops per kernel          (default 12)
-  --machine <m>     as for compile               (default p2l4)
-  --node-budget <n> oracle search nodes per loop (default 200000)
-  --spill-policy <p> baseline policy the per-policy deltas are taken
-                    against: paper|min-next-use|furthest-next-use|
-                    round-robin                  (default paper)
-  --spill-budget <n> register budget for the per-policy comparison
-                                                 (default 16)
-  --jobs <n>        worker threads (default: REGPIPE_JOBS, then all cores)
-  --out <file>      report path                  (default BENCH_gap.json)
-";
-    let serve_ = "\
-regpipe serve [options]
-  Run the persistent compile daemon: JSON-lines requests (one object per
-  line) on stdin — or a unix socket with --socket — answered from a
-  sharded content-addressed LRU result cache, falling through to the
-  compile engine on miss. Responses are byte-identical with the cache on
-  or off. Protocol spec: docs/serve.md.
-  --socket <path>      listen on a unix socket (threaded, multi-client)
-                       instead of stdin/stdout
-  --no-cache           disable the result cache (every request compiles)
-  --cache-bytes <n>    total cache budget in bytes     (default 67108864)
-  --shards <n>         cache shards                    (default 8)
-  --max-request-bytes <n>  per-line request bound      (default 1048576)
-  --cache-dir <dir>    persist the cache to a CRC-framed append log;
-                       recovery after a crash drops only damaged entries
-  --compact-appends <n>  appends between log compactions (default 8192)
-  --deadline-ms <n>    per-compile cooperative deadline; blown deadlines
-                       answer with error.kind \"deadline\"
-  --drain-ms <n>       shutdown drain bound for in-flight connections
-                       (default 2000)
-  --spill-policy <p>   default policy for requests that omit the
-                       spill_policy field: paper|min-next-use|
-                       furthest-next-use|round-robin  (default paper)
-";
-    let replay_ = "\
-regpipe replay [options]
-  Drive a deterministic request stream at a compile daemon and print the
-  response stream (in request order) to stdout. Without --socket an
-  in-process daemon serves the run (same engine, no transport).
-  --socket <path>   unix socket of a running `regpipe serve --socket`
-  --source gen|suite  workload source                  (default gen)
-  --seed <s>        workload seed                      (default 49626)
-  --count <k>       kernels (gen) / loops (suite)      (default 100)
-  --file <path>     replay raw request lines from a file instead
-                    (lines are sent verbatim; ids are yours to manage)
-  --repeat <n>      passes over the stream; pass 2+ exercise the cache
-                    hit path                           (default 1)
-  --jobs <n>        client connections (socket) or worker threads
-                    (in-process)  (default: REGPIPE_JOBS, then all cores)
-  --budgets <list>  comma-separated register budgets   (default 32)
-  --strategy best|spill|increase-ii                    (default best)
-  --scheduler hrms|sms|asap|exact                      (default hrms)
-  --spill-policy paper|min-next-use|furthest-next-use|round-robin
-                    sent with every request            (default paper)
-  --machine <m>     as for compile                     (default p2l4)
-  --no-cache        (in-process mode) disable the daemon cache
-  --cache-dir <dir> (in-process mode) persist the daemon cache on disk
-  --retry <n>       attempts per request on connection failure (socket
-                    mode; reconnects between attempts)    (default 1)
-  --backoff-ms <n>  base retry backoff, doubled per attempt with
-                    seed-deterministic jitter              (default 50)
-  --stats-out <f>   write the daemon's final stats JSON to a file
-  --shutdown        send a shutdown request after the run (socket mode)
-";
-    let chaos_ = "\
-regpipe chaos [options]
-  The deterministic crash-recovery gate: spawn real daemons on a shared
-  --cache-dir, inject seeded faults (a compile panic, a flipped bit, a
-  torn append, a mid-write crash) across --cycles inject-crash-restart
-  cycles, and verify after every recovery that the full workload replays
-  byte-identically to a never-crashed baseline. Prints a summary JSON
-  (schema regpipe-chaos/v1) on success; any deviation fails the run.
-  --socket <path>   daemon socket     (default: a fresh temp path)
-  --cache-dir <dir> persistent cache  (default: a fresh temp dir)
-  --cycles <n>      inject-crash-restart cycles        (default 3)
-  --seed <s>        workload and fault-schedule seed   (default 7)
-  --count <k>       workload kernels (at least 4)      (default 12)
-  --jobs <n>        client connections (default: REGPIPE_JOBS, then all cores)
-  --budgets <list>  comma-separated register budgets   (default 32)
-  --strategy best|spill|increase-ii                    (default best)
-  --scheduler hrms|sms|asap|exact                      (default hrms)
-  --spill-policy paper|min-next-use|furthest-next-use|round-robin
-                    sent with every request            (default paper)
-  --machine <m>     as for compile                     (default p2l4)
-  --out <file>      write the final clean replay's response lines
-";
-    let bench_serve_ = "\
-regpipe bench-serve [options]
-  Benchmark the daemon: drive a generated corpus through an in-process
-  server for --repeat passes and write BENCH_serve.json (schema
-  regpipe-bench-serve/v2) with request totals, cache hit/miss/eviction
-  counters and the hit rate. By default only deterministic fields are
-  emitted so runs byte-compare; set REGPIPE_BENCH_TIMING=1 to add
-  throughput (compiles/sec) and p50/p99 request latencies.
-  --seed <s>        generator seed               (default 49626)
-  --count <k>       kernels                      (default 100)
-  --repeat <n>      passes                       (default 2)
-  --budgets <list>  register budgets             (default 64,32)
-  --strategy best|spill|increase-ii              (default best)
-  --scheduler hrms|sms|asap|exact                (default hrms)
-  --spill-policy paper|min-next-use|furthest-next-use|round-robin
-                    sent with every request      (default paper)
-  --machine <m>     as for compile               (default p2l4)
-  --jobs <n>        worker threads (default: REGPIPE_JOBS, then all cores)
-  --no-cache        disable the daemon cache
-  --out <file>      report path                  (default BENCH_serve.json)
-";
-    match topic {
-        Some("info") => info.to_string(),
-        Some("compile") => compile_.to_string(),
-        Some("suite") => suite_.to_string(),
-        Some("gen") => gen_.to_string(),
-        Some("check") => check_.to_string(),
-        Some("bench") => bench_.to_string(),
-        Some("gap") => gap_.to_string(),
-        Some("serve") => serve_.to_string(),
-        Some("replay") => replay_.to_string(),
-        Some("chaos") => chaos_.to_string(),
-        Some("bench-serve") => bench_serve_.to_string(),
-        _ => format!(
-            "usage: regpipe <info|compile|suite|gen|check|bench|gap|serve|replay|chaos|bench-serve|help> ...\n\n\
-             {info}\n{compile_}\n{suite_}\n{gen_}\n{check_}\n{bench_}\n{gap_}\n{serve_}\n{replay_}\n\
-             {chaos_}\n{bench_serve_}\n\
+",
+        flags: &[],
+        run: cmd_check,
+    },
+    Verb {
+        spec: "bench",
+        about: "  Wall-time the full compile path (schedule/allocate/spill/reschedule) over
+  seeded `gen` corpora at several kernel sizes and write the result as JSON
+  (schema regpipe-bench-compile/v3). By default only deterministic work counters
+  are emitted so runs byte-compare; REGPIPE_BENCH_TIMING=1 runs the sampling loop
+  and adds mean_wall_us per size (see docs/performance.md). --before records a
+  previous timed report's mean_wall_us per size plus the speedup.
+",
+        flags: &[&[
+            flag("--sizes <list>", Kind::Ints(2, USIZE), "16,48,96,160,256", "op counts"),
+            flag("--count <k>", POSITIVE, "12", "kernels per size"),
+            flag("--seed <s>", U64, "49626", "generator seed"),
+            MACHINE,
+            budgets("64,32"),
+            STRATEGIES,
+            SCHEDULER,
+            spill_policy("victim-ranking policy for spilling"),
+            flag("--before <file>", FILE, "", "a previous timed BENCH_compile.json"),
+            flag("--out <file>", FILE, "BENCH_compile.json", "report path"),
+        ]],
+        run: cmd_bench,
+    },
+    Verb {
+        spec: "gap",
+        about: "  Measure heuristic optimality gaps: schedule a corpus with the
+  branch-and-bound oracle and every registered heuristic, and write BENCH_gap.json
+  (schema regpipe-bench-gap/v2) with per-loop and aggregate II/SC/MaxLive gaps plus
+  proven/unproven counts. Gaps count only loops whose optimum the oracle proved
+  within its node budget. Every loop is also compiled under --spill-budget once per
+  registered spill policy; the spill_policies section totals spills and IIs with
+  deltas against the --spill-policy baseline (over the loops every policy fitted).
+  The report has no timing fields, so runs byte-compare at any --jobs value. With
+  --corpus, gap an on-disk corpus; its .mach file sets the machine unless
+  --machine is given.
+",
+        flags: &[&[
+            flag("--corpus <dir>", DIR, "", "gap an on-disk corpus"),
+            flag("--seed <s>", U64, "7", "generator seed"),
+            flag("--count <k>", POSITIVE, "100", "kernels"),
+            flag("--max-ops <n>", Kind::Int(2, USIZE), "12", "most ops per kernel"),
+            MACHINE,
+            flag("--node-budget <n>", U64, "200000", "oracle search nodes per loop"),
+            spill_policy("baseline of the per-policy deltas"),
+            flag("--spill-budget <n>", Kind::Int(1, U32), "16", "per-policy register budget"),
+            JOBS,
+            flag("--out <file>", FILE, "BENCH_gap.json", "report path"),
+        ]],
+        run: cmd_gap,
+    },
+    Verb {
+        spec: "serve",
+        about: "  Run the persistent compile daemon: JSON-lines requests on stdin, or a unix
+  socket with --socket, answered from a sharded content-addressed LRU result
+  cache, falling through to the compile engine on miss. Responses are
+  byte-identical with the cache on or off. A blown --deadline-ms answers with
+  error.kind \"deadline\". Protocol spec: docs/serve.md.
+",
+        flags: &[
+            &[flag("--socket <path>", Kind::Path("path"), "", "listen on a unix socket")],
+            DAEMON,
+            &[spill_policy("for requests that omit the spill_policy field")],
+        ],
+        run: cmd_serve,
+    },
+    Verb {
+        spec: "replay",
+        about: "  Drive a deterministic request stream at a compile daemon and print the
+  response stream (in request order) to stdout. --jobs counts client
+  connections with --socket; without it an in-process daemon, configured
+  by the `serve` flags at the end, serves the run on --jobs workers.
+  --file lines are sent verbatim (their ids are yours to manage).
+",
+        flags: &[
+            &[
+                flag("--socket <path>", Kind::Path("path"), "", "a running `serve --socket`"),
+                flag("--source", Kind::Choice(&["gen", "suite"]), "gen", "workload source"),
+                flag("--seed <s>", U64, "49626", "workload seed"),
+                flag("--count <k>", POSITIVE, "100", "kernels (gen) / loops (suite)"),
+                flag("--file <path>", FILE, "", "replay raw request lines from a file"),
+                flag("--repeat <n>", POSITIVE, "1", "passes; pass 2+ exercise the cache"),
+                JOBS,
+                budgets("32"),
+                STRATEGY,
+                SCHEDULER,
+                spill_policy("sent with every request"),
+                MACHINE,
+                flag("--retry <n>", Kind::Int(1, U32), "1", "attempts per request (socket)"),
+                flag("--backoff-ms <n>", U64, "50", "base retry backoff, seeded jitter"),
+                flag("--stats-out <file>", FILE, "", "write the daemon's final stats JSON"),
+                flag("--shutdown", Kind::Switch, "", "stop the daemon after the run (socket)"),
+            ],
+            DAEMON,
+        ],
+        run: cmd_replay,
+    },
+    Verb {
+        spec: "chaos",
+        about: "  The deterministic crash-recovery gate: spawn real daemons on a shared
+  --cache-dir, inject seeded faults (a compile panic, a flipped bit, a torn
+  append, a mid-write crash) across --cycles inject-crash-restart cycles, and
+  verify after every recovery that the workload replays byte-identically to a
+  never-crashed baseline over --jobs connections. Prints a summary JSON (schema
+  regpipe-chaos/v1) on success; any deviation fails the run.
+",
+        flags: &[&[
+            flag("--socket <path>", Kind::Path("path"), "", "daemon socket (default: temp)"),
+            flag("--cache-dir <dir>", DIR, "", "persistent cache (default: temp)"),
+            flag("--cycles <n>", Kind::Int(1, U32), "3", "inject-crash-restart cycles"),
+            flag("--seed <s>", U64, "7", "workload and fault-schedule seed"),
+            flag("--count <k>", Kind::Int(4, USIZE), "12", "workload kernels"),
+            JOBS,
+            budgets("32"),
+            STRATEGY,
+            SCHEDULER,
+            spill_policy("sent with every request"),
+            MACHINE,
+            flag("--out <file>", FILE, "", "write the final replay's response lines"),
+        ]],
+        run: cmd_chaos,
+    },
+    Verb {
+        spec: "bench-serve",
+        about: "  Benchmark the daemon: drive a generated corpus through an in-process server
+  for --repeat passes and write BENCH_serve.json (schema regpipe-bench-serve/v2)
+  with request totals, cache hit/miss/eviction counters and the hit rate. Only
+  deterministic fields by default, so runs byte-compare; REGPIPE_BENCH_TIMING=1
+  adds throughput (compiles/sec) and p50/p99 request latencies.
+",
+        flags: &[&[
+            flag("--seed <s>", U64, "49626", "generator seed"),
+            flag("--count <k>", POSITIVE, "100", "kernels"),
+            flag("--repeat <n>", POSITIVE, "2", "passes"),
+            budgets("64,32"),
+            STRATEGY,
+            SCHEDULER,
+            spill_policy("sent with every request"),
+            MACHINE,
+            JOBS,
+            NO_CACHE,
+            flag("--out <file>", FILE, "BENCH_serve.json", "report path"),
+        ]],
+        run: cmd_bench_serve,
+    },
+];
+
+fn find_verb(name: &str) -> Option<&'static Verb> {
+    VERBS.iter().find(|v| v.name() == name)
+}
+
+/// `regpipe help [command]`: the full usage, or one verb's section.
+fn help(topics: &[String]) -> Result<(), String> {
+    let names: Vec<&str> = VERBS.iter().map(Verb::name).collect();
+    let text = match topics {
+        [] => format!(
+            "usage: regpipe <{}|help> ...\n\n{}\n\
+             Unknown, repeated or value-less flags and extra arguments are errors.\n\
              The on-disk formats (.ddg loops, .mach machine descriptions, corpus\n\
              directory layout) are specified in docs/formats.md; the serve wire\n\
-             protocol in docs/serve.md.\n"
+             protocol in docs/serve.md.\n",
+            names.join("|"),
+            VERBS.iter().map(section).collect::<Vec<_>>().join("\n")
         ),
+        [topic] => section(find_verb(topic).ok_or_else(|| {
+            format!("help: unknown command '{topic}' (commands: {})", names.join(", "))
+        })?),
+        _ => return Err("help: takes at most one command".into()),
+    };
+    print!("{text}");
+    Ok(())
+}
+
+/// One verb's help, rendered from its table entry.
+fn section(verb: &Verb) -> String {
+    const COLUMN: usize = 26;
+    let options = if verb.flags().next().is_some() { " [options]" } else { "" };
+    let mut text = format!("regpipe {}{options}\n{}", verb.spec, verb.about);
+    for flag in verb.flags() {
+        let head = format!("  {}", flag.head());
+        let mut line = flag.help.to_string();
+        if let Some(default) = flag.default() {
+            line += &format!(" (default {default})");
+        }
+        if head.len() < COLUMN {
+            text += &format!("{head:<COLUMN$}{line}\n");
+        } else {
+            text += &format!("{head}\n{:COLUMN$}{line}\n", "");
+        }
     }
+    text
+}
+
+/// One verb's command line, checked against its [`Verb`] entry.
+struct Args {
+    verb: &'static Verb,
+    positional: Option<String>,
+    /// The raw value of every flag given (`""` for a switch).
+    given: BTreeMap<&'static str, String>,
+}
+
+/// Checks `argv` against `verb`'s table entry. Unknown and repeated flags,
+/// value-taking flags without a value and extra positionals are errors
+/// naming the verb; the positional may appear anywhere.
+fn parse(verb: &'static Verb, argv: &[String]) -> Result<Args, String> {
+    let name = verb.name();
+    let misuse = |what: String| format!("{name}: {what} (see `regpipe help {name}`)");
+    let mut args = Args { verb, positional: None, given: BTreeMap::new() };
+    let mut tokens = argv.iter().peekable();
+    while let Some(token) = tokens.next() {
+        if !token.starts_with("--") {
+            if verb.positional().is_none() || args.positional.is_some() {
+                return Err(misuse(format!("unexpected argument '{token}'")));
+            }
+            args.positional = Some(token.clone());
+            continue;
+        }
+        let flag = verb.flag(token).ok_or_else(|| misuse(format!("unknown flag {token}")))?;
+        let value = match flag.kind {
+            Kind::Switch => String::new(),
+            kind => {
+                let noun = if let Kind::Path(noun) = kind { noun } else { "value" };
+                let raw = tokens.next_if(|raw| !raw.starts_with("--"));
+                let raw = raw.ok_or_else(|| misuse(format!("{token} needs a {noun}")))?;
+                kind.check(token, raw)?;
+                raw.clone()
+            }
+        };
+        if args.given.insert(flag.name(), value).is_some() {
+            return Err(misuse(format!("{token} is given twice")));
+        }
+    }
+    Ok(args)
+}
+
+impl Args {
+    fn positional(&self) -> Result<&str, String> {
+        let (name, metavar) = (self.verb.name(), self.verb.positional().unwrap_or_default());
+        self.positional.as_deref().ok_or_else(|| format!("{name}: missing {metavar}"))
+    }
+
+    /// Whether the flag was given on the command line.
+    fn has(&self, name: &str) -> bool {
+        match self.verb.flag(name) {
+            Some(_) => self.given.contains_key(name),
+            None => unchecked(name),
+        }
+    }
+
+    /// The flag's raw value, given or defaulted; `None` when it is absent
+    /// and has no default.
+    fn opt_text(&self, name: &str) -> Option<&str> {
+        let flag = self.verb.flag(name).unwrap_or_else(|| unchecked(name));
+        self.given.get(name).map(String::as_str).or_else(|| flag.default())
+    }
+
+    fn text(&self, name: &str) -> &str {
+        self.opt_text(name).unwrap_or_else(|| unchecked(name))
+    }
+
+    /// Parses a value [`parse`] has already checked.
+    fn read<T, E>(&self, name: &str, parse: impl FnOnce(&str) -> Result<T, E>) -> T {
+        parse(self.text(name)).unwrap_or_else(|_| unchecked(name))
+    }
+
+    fn get<T: FromStr>(&self, name: &str) -> T {
+        self.read(name, str::parse)
+    }
+
+    fn opt<T: FromStr>(&self, name: &str) -> Option<T> {
+        self.opt_text(name).map(|_| self.get(name))
+    }
+
+    fn list<T: FromStr>(&self, name: &str) -> Vec<T> {
+        self.read(name, |raw| list(raw, str::parse))
+    }
+
+    /// `--jobs`, else `REGPIPE_JOBS`, else every core.
+    fn jobs(&self) -> Result<NonZeroUsize, String> {
+        self.opt("--jobs").map_or_else(|| resolve_jobs(None), Ok)
+    }
+}
+
+/// A verb read a flag its table entry does not declare, or as a type its
+/// kind does not check: a defect in this file, never a user error.
+fn unchecked(name: &str) -> ! {
+    panic!("{name} is read in a way its table entry does not check")
+}
+
+fn read_file(path: &str) -> Result<String, String> {
+    fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 fn load(path: &str) -> Result<Ddg, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    textfmt::parse_named(&text, path).map_err(|e| e.to_string())
+    textfmt::parse_named(&read_file(path)?, path).map_err(|e| e.to_string())
 }
 
-fn parse_machine(spec: &str) -> Result<MachineConfig, String> {
-    MachineConfig::parse_spec(spec)
+/// Whether `REGPIPE_BENCH_TIMING=1` opts into wall-clock report fields.
+fn timing_enabled() -> bool {
+    std::env::var("REGPIPE_BENCH_TIMING").is_ok_and(|v| v == "1")
 }
 
-/// Pulls `--key value` pairs from an argument list.
-struct Flags<'a> {
-    args: &'a [String],
+fn write_report(path: &str, text: &str) -> Result<(), String> {
+    fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("wrote {path}");
+    Ok(())
 }
 
-impl<'a> Flags<'a> {
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.args
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
-    }
-
-    /// Whether `key` appears at all — [`Flags::get`] cannot distinguish a
-    /// missing flag from a flag missing its value.
-    fn has(&self, key: &str) -> bool {
-        self.args.iter().any(|a| a == key)
-    }
-
-    fn positional(&self) -> Option<&'a str> {
-        self.args.first().filter(|a| !a.starts_with("--")).map(String::as_str)
-    }
-
-    /// The `--scheduler` flag, resolved against the scheduler registry.
-    /// Unknown names are a hard error naming the registered schedulers.
-    fn scheduler(&self) -> Result<SchedulerKind, String> {
-        self.get("--scheduler").map_or(Ok(SchedulerKind::default()), SchedulerKind::parse)
-    }
-
-    /// The `--spill-policy` flag, resolved against the spill-policy
-    /// registry. Unknown names are a hard error naming the registered
-    /// policies.
-    fn spill_policy(&self) -> Result<SpillPolicyKind, String> {
-        self.get("--spill-policy")
-            .map_or(Ok(SpillPolicyKind::default()), SpillPolicyKind::parse)
-    }
-}
-
-fn cmd_info(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let path = flags.positional().ok_or("info: missing input file")?;
-    let g = load(path)?;
-    let machine = parse_machine(flags.get("--machine").unwrap_or("p2l4"))?;
-    let scheduler = flags.scheduler()?;
-    // Accepted for interface uniformity and validated against the
-    // registry; the unconstrained schedule below never spills.
-    flags.spill_policy()?;
-
+fn cmd_info(args: &Args) -> Result<(), String> {
+    let g = load(args.positional()?)?;
+    let machine = args.read("--machine", MachineConfig::parse_spec);
     println!(
         "loop '{}': {} ops, {} edges, {} invariants",
         g.name(),
@@ -383,7 +649,8 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     );
     let recs = regpipe::ddg::algo::recurrences(&g);
     println!("recurrences: {}", recs.len());
-    let s = scheduler
+    let s = args
+        .read("--scheduler", SchedulerKind::parse)
         .schedule(&g, &machine, &SchedRequest::default())
         .map_err(|e| e.to_string())?;
     let a = allocate(&g, &s);
@@ -397,26 +664,20 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let path = flags.positional().ok_or("compile: missing input file")?;
-    let g = load(path)?;
-    let machine = parse_machine(flags.get("--machine").unwrap_or("p2l4"))?;
-    let regs: u32 = flags
-        .get("--regs")
-        .unwrap_or("32")
-        .parse()
-        .map_err(|_| "bad --regs value".to_string())?;
-    let strategy = parse_strategy(flags.get("--strategy").unwrap_or("best"))?;
-    let heuristic = match flags.get("--heuristic").unwrap_or("lt-traf") {
-        "lt" => SelectHeuristic::MaxLt,
-        "lt-traf" => SelectHeuristic::MaxLtOverTraffic,
-        other => return Err(format!("unknown heuristic '{other}'")),
+fn cmd_compile(args: &Args) -> Result<(), String> {
+    let g = load(args.positional()?)?;
+    let machine = args.read("--machine", MachineConfig::parse_spec);
+    let regs: u32 = args.get("--regs");
+    let mut options = CompileOptions {
+        strategy: args.read("--strategy", parse_strategy),
+        scheduler: args.read("--scheduler", SchedulerKind::parse),
+        ..CompileOptions::default()
     };
-    let mut options =
-        CompileOptions { strategy, scheduler: flags.scheduler()?, ..CompileOptions::default() };
-    options.spill.heuristic = heuristic;
-    options.spill.policy = flags.spill_policy()?;
+    options.spill.heuristic = match args.text("--heuristic") {
+        "lt" => SelectHeuristic::MaxLt,
+        _ => SelectHeuristic::MaxLtOverTraffic,
+    };
+    options.spill.policy = args.read("--spill-policy", SpillPolicyKind::parse);
 
     let compiled = compile(&g, &machine, regs, &options).map_err(|e| e.to_string())?;
     println!(
@@ -429,110 +690,81 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         compiled.spilled(),
         compiled.strategy_used()
     );
-    match flags.get("--emit").unwrap_or("kernel") {
+    match args.text("--emit") {
         "kernel" => println!("\n{}", compiled.kernel()),
         "pipeline" => {
             println!("\n{}", PipelinedLoop::new(compiled.ddg(), compiled.schedule()));
         }
         "dot" => println!("{}", to_dot(compiled.ddg())),
-        "text" => println!("{}", textfmt::format(compiled.ddg())),
-        other => return Err(format!("unknown emit mode '{other}'")),
+        _ => println!("{}", textfmt::format(compiled.ddg())),
     }
     Ok(())
 }
 
-fn cmd_suite(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let explicit_size: Option<usize> = match flags.get("--size") {
-        Some(raw) => Some(
-            raw.parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("--size must be a positive integer, got '{raw}'"))?,
-        ),
-        None => None,
+/// An on-disk corpus and its machine; an explicit `--machine` wins over
+/// the corpus's `.mach` file. The `synthetic` flags shape a generated
+/// workload only, so accepting them here would silently run a different
+/// workload than the user asked for.
+fn corpus(
+    args: &Args,
+    dir: &str,
+    synthetic: &[&str],
+) -> Result<(Vec<BenchLoop>, MachineConfig), String> {
+    if let Some(flag) = synthetic.iter().find(|flag| args.has(flag)) {
+        return Err(format!("{flag} does not apply to --corpus (the directory decides)"));
+    }
+    let corpus = load_corpus(dir).map_err(|e| format!("corpus {dir} is invalid:\n{e}"))?;
+    let machine = match corpus.machine {
+        Some(machine) if !args.has("--machine") => machine,
+        _ => args.read("--machine", MachineConfig::parse_spec),
     };
-    let seed: u64 = flags
-        .get("--seed")
-        .unwrap_or("49626") // 0xC1DA
-        .parse()
-        .map_err(|_| "bad --seed value".to_string())?;
-    if flags.has("--corpus") {
-        // External corpus: the loops (and possibly the machine) come from
-        // disk; --size/--seed apply to the synthetic suite only, so
-        // accepting them here would silently run a different workload
-        // than the user asked for.
-        let dir = flags.get("--corpus").ok_or("--corpus needs a directory")?;
-        if explicit_size.is_some() {
-            return Err("--size does not apply to --corpus (the directory decides)".into());
-        }
-        if flags.has("--seed") {
-            return Err("--seed does not apply to --corpus (the directory decides)".into());
-        }
-        if flags.has("--dir") {
+    Ok((corpus.loops, machine))
+}
+
+fn cmd_suite(args: &Args) -> Result<(), String> {
+    if let Some(dir) = args.opt_text("--corpus") {
+        if args.has("--dir") {
             return Err("--dir (corpus emission) cannot be combined with --corpus".into());
         }
-        let corpus = load_corpus(dir).map_err(|e| format!("corpus {dir} is invalid:\n{e}"))?;
-        // An explicit --machine wins over the corpus's .mach file.
-        let machine = match (flags.get("--machine"), corpus.machine) {
-            (Some(spec), _) => parse_machine(spec)?,
-            (None, Some(m)) => m,
-            (None, None) => MachineConfig::p2l4(),
-        };
-        let label = format!("corpus {dir}");
-        return run_suite(&flags, machine, corpus.loops, &label);
+        let (loops, machine) = corpus(args, dir, &["--size", "--seed"])?;
+        return run_suite(args, machine, loops, &format!("corpus {dir}"));
     }
-    match flags.get("--dir") {
+    let (seed, size) = (args.get("--seed"), args.opt("--size"));
+    match args.opt_text("--dir") {
         // Corpus emission keeps its historical default of 100 files.
-        Some(dir) => emit_corpus(dir, seed, explicit_size.unwrap_or(100)),
+        Some(dir) => {
+            let loops = suite(seed, size.unwrap_or(100));
+            write_corpus(dir, &loops)?;
+            println!("wrote {} loops to {dir}/", loops.len());
+            Ok(())
+        }
         None => {
             // Run mode shares the harness's REGPIPE_SUITE_SIZE default so
             // the CI smoke path sizes the run with one env variable.
-            let size = match explicit_size {
-                Some(n) => n,
-                None => suite_size_from_env()?,
-            };
-            let machine = parse_machine(flags.get("--machine").unwrap_or("p2l4"))?;
-            let label = format!("seed {seed}");
-            run_suite(&flags, machine, suite(seed, size), &label)
+            let loops = suite(seed, size.map_or_else(suite_size_from_env, Ok)?);
+            let machine = args.read("--machine", MachineConfig::parse_spec);
+            run_suite(args, machine, loops, &format!("seed {seed}"))
         }
     }
-}
-
-/// `suite --dir`: emit the archetype-mix suite as `.ddg` files.
-fn emit_corpus(dir: &str, seed: u64, size: usize) -> Result<(), String> {
-    let loops = suite(seed, size);
-    write_corpus(dir, &loops)?;
-    println!("wrote {} loops to {dir}/", loops.len());
-    Ok(())
 }
 
 /// `suite` run mode: every cell through the batch engine.
 fn run_suite(
-    flags: &Flags<'_>,
+    args: &Args,
     machine: MachineConfig,
     loops: Vec<BenchLoop>,
     label: &str,
 ) -> Result<(), String> {
-    let jobs = resolve_jobs(flags.get("--jobs"))?;
-    let budgets = flags
-        .get("--budgets")
-        .unwrap_or("64,32")
-        .split(',')
-        .map(|b| b.parse::<u32>().map_err(|_| format!("bad budget '{b}' in --budgets")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let strategies = flags
-        .get("--strategies")
-        .unwrap_or("best,spill,increase-ii")
-        .split(',')
-        .map(parse_strategy)
-        .collect::<Result<Vec<_>, _>>()?;
-    let out_path = flags.get("--out").unwrap_or("BENCH_suite.json");
-    let mut options =
-        CompileOptions { scheduler: flags.scheduler()?, ..CompileOptions::default() };
-    options.spill.policy = flags.spill_policy()?;
-
-    let req = BatchRequest { machine, budgets, strategies, options, jobs };
+    let scheduler = args.read("--scheduler", SchedulerKind::parse);
+    let mut options = CompileOptions { scheduler, ..CompileOptions::default() };
+    options.spill.policy = args.read("--spill-policy", SpillPolicyKind::parse);
+    let req = BatchRequest {
+        machine,
+        budgets: args.list("--budgets"),
+        strategies: args.read("--strategies", |raw| list(raw, parse_strategy)),
+        options,
+        jobs: args.jobs()?,
+    };
     let report = run_batch(&loops, &req);
 
     println!(
@@ -560,10 +792,7 @@ fn run_suite(
     // byte-compare across --jobs values; REGPIPE_BENCH_TIMING=1 opts into
     // per-cell wall times. Timing for humans goes to stderr, off the
     // byte-comparable stream.
-    let include_timing = std::env::var("REGPIPE_BENCH_TIMING").is_ok_and(|v| v == "1");
-    fs::write(out_path, report.to_json(include_timing))
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
+    write_report(args.text("--out"), &report.to_json(timing_enabled()))?;
     eprintln!(
         "compiled {} cells with {} jobs in {:.2}s",
         report.cells.len(),
@@ -573,145 +802,43 @@ fn run_suite(
     Ok(())
 }
 
-/// Parses a `--weights` spec: `const:<w>`, `uniform:<lo>,<hi>`, or
-/// `log:<lo>,<hi>`.
-fn parse_weights(spec: &str) -> Result<WeightDist, String> {
-    fn pair<'a>(rest: &'a str, kind: &str) -> Result<(&'a str, &'a str), String> {
-        rest.split_once(',')
-            .map(|(a, b)| (a.trim(), b.trim()))
-            .ok_or_else(|| format!("--weights {kind}: expected '{kind}:<lo>,<hi>'"))
-    }
-    let (kind, rest) =
-        spec.split_once(':').ok_or_else(|| format!("bad --weights spec '{spec}'"))?;
-    match kind {
-        "const" => {
-            let w: u64 = rest.parse().map_err(|_| format!("bad constant weight '{rest}'"))?;
-            Ok(WeightDist::Constant(w))
-        }
-        "uniform" => {
-            let (lo, hi) = pair(rest, kind)?;
-            let lo: u64 = lo.parse().map_err(|_| format!("bad weight bound '{lo}'"))?;
-            let hi: u64 = hi.parse().map_err(|_| format!("bad weight bound '{hi}'"))?;
-            Ok(WeightDist::Uniform { lo, hi })
-        }
-        "log" => {
-            let (lo, hi) = pair(rest, kind)?;
-            let lo_exp: f64 = lo.parse().map_err(|_| format!("bad exponent '{lo}'"))?;
-            let hi_exp: f64 = hi.parse().map_err(|_| format!("bad exponent '{hi}'"))?;
-            Ok(WeightDist::LogUniform { lo_exp, hi_exp })
-        }
-        other => Err(format!("unknown weight distribution '{other}'")),
-    }
-}
-
 /// `regpipe gen`: materialize a knob-controlled synthetic corpus on disk.
-fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let dir = flags.get("--out").ok_or("gen: missing --out directory")?;
-    let seed: u64 = flags
-        .get("--seed")
-        .unwrap_or("49626")
-        .parse()
-        .map_err(|_| "bad --seed value".to_string())?;
-    let count: usize = match flags.get("--count").unwrap_or("100").parse() {
-        Ok(n) if n > 0 => n,
-        _ => return Err("--count must be a positive integer".into()),
-    };
-    let defaults = GenParams::default();
-    let positive = |flag: &str, default: usize| -> Result<usize, String> {
-        match flags.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("{flag} must be a positive integer, got '{raw}'")),
-        }
-    };
+fn cmd_gen(args: &Args) -> Result<(), String> {
+    let dir = args.opt_text("--out").ok_or("gen: missing --out directory")?;
+    let seed: u64 = args.get("--seed");
     let params = GenParams {
-        min_ops: positive("--min-ops", defaults.min_ops)?,
-        max_ops: positive("--max-ops", defaults.max_ops)?,
-        recurrence_density: match flags.get("--rec-density") {
-            None => defaults.recurrence_density,
-            Some(raw) => raw.parse().map_err(|_| format!("bad --rec-density value '{raw}'"))?,
-        },
-        max_invariants: match flags.get("--invariants") {
-            None => defaults.max_invariants,
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("--invariants must be an integer, got '{raw}'"))?,
-        },
-        weights: match flags.get("--weights") {
-            None => defaults.weights,
-            Some(spec) => parse_weights(spec)?,
-        },
+        min_ops: args.get("--min-ops"),
+        max_ops: args.get("--max-ops"),
+        recurrence_density: args.get("--rec-density"),
+        max_invariants: args.get("--invariants"),
+        weights: args.get("--weights"),
     };
-    let loops = generate(seed, count, &params)?;
+    let loops = generate(seed, args.get("--count"), &params)?;
     write_corpus(dir, &loops)?;
     println!("wrote {} kernels to {dir}/ (seed {seed})", loops.len());
     Ok(())
 }
 
 /// `regpipe bench`: wall-time the compile path over generated corpora.
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let defaults = regpipe::bench::CompileBenchConfig::default();
-    let list_usize = |raw: &str, flag: &str| -> Result<Vec<usize>, String> {
-        raw.split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 1)
-                    .ok_or_else(|| format!("{flag}: bad entry '{s}' (need integers > 1)"))
-            })
-            .collect()
-    };
+fn cmd_bench(args: &Args) -> Result<(), String> {
     let config = regpipe::bench::CompileBenchConfig {
-        seed: match flags.get("--seed") {
-            None => defaults.seed,
-            Some(raw) => raw.parse().map_err(|_| "bad --seed value".to_string())?,
-        },
-        count: match flags.get("--count") {
-            None => defaults.count,
-            Some(raw) => raw
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or("--count must be a positive integer")?,
-        },
-        sizes: match flags.get("--sizes") {
-            None => defaults.sizes,
-            Some(raw) => list_usize(raw, "--sizes")?,
-        },
-        budgets: match flags.get("--budgets") {
-            None => defaults.budgets,
-            Some(raw) => raw
-                .split(',')
-                .map(|b| b.parse::<u32>().map_err(|_| format!("bad budget '{b}' in --budgets")))
-                .collect::<Result<Vec<_>, _>>()?,
-        },
-        strategies: match flags.get("--strategies") {
-            None => defaults.strategies,
-            Some(raw) => raw.split(',').map(parse_strategy).collect::<Result<Vec<_>, _>>()?,
-        },
-        scheduler: flags.scheduler()?,
-        spill_policy: flags.spill_policy()?,
-        machine: parse_machine(flags.get("--machine").unwrap_or("p2l4"))?,
-        timed: std::env::var("REGPIPE_BENCH_TIMING").is_ok_and(|v| v == "1"),
+        seed: args.get("--seed"),
+        count: args.get("--count"),
+        sizes: args.list("--sizes"),
+        budgets: args.list("--budgets"),
+        strategies: args.read("--strategies", |raw| list(raw, parse_strategy)),
+        scheduler: args.read("--scheduler", SchedulerKind::parse),
+        spill_policy: args.read("--spill-policy", SpillPolicyKind::parse),
+        machine: args.read("--machine", MachineConfig::parse_spec),
+        timed: timing_enabled(),
     };
-    let before = match flags.get("--before") {
+    let before = match args.opt_text("--before") {
+        Some(path) => Some(
+            regpipe::exec::json::parse(&read_file(path)?)
+                .map_err(|e| format!("{path} is not valid JSON: {e}"))?,
+        ),
         None => None,
-        Some(path) => {
-            let text =
-                fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            Some(
-                regpipe::exec::json::parse(&text)
-                    .map_err(|e| format!("{path} is not valid JSON: {e}"))?,
-            )
-        }
     };
-    let out_path = flags.get("--out").unwrap_or("BENCH_compile.json");
 
     let report =
         regpipe::bench::run_compile_bench(&config).map_err(|e| format!("bench: {e}"))?;
@@ -736,78 +863,35 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             p.ops, p.cells, p.fitted, p.failures, p.cycles, p.spilled, p.reschedules
         );
     }
-    fs::write(out_path, report.to_json(before.as_ref()))
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    Ok(())
+    write_report(args.text("--out"), &report.to_json(before.as_ref()))
 }
 
-/// `regpipe gap`: heuristic optimality gaps against the exact oracle.
-fn cmd_gap(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let node_budget: u64 = match flags.get("--node-budget") {
-        None => regpipe::sched::DEFAULT_NODE_BUDGET,
-        Some(raw) => {
-            raw.parse().map_err(|_| format!("--node-budget must be an integer, got '{raw}'"))?
-        }
-    };
-    let jobs = resolve_jobs(flags.get("--jobs"))?;
-    let out_path = flags.get("--out").unwrap_or("BENCH_gap.json");
-
-    let (loops, machine, source) = if flags.has("--corpus") {
-        let dir = flags.get("--corpus").ok_or("--corpus needs a directory")?;
-        for flag in ["--seed", "--count", "--max-ops"] {
-            if flags.has(flag) {
-                return Err(format!(
-                    "{flag} does not apply to --corpus (the directory decides)"
-                ));
-            }
-        }
-        let corpus = load_corpus(dir).map_err(|e| format!("corpus {dir} is invalid:\n{e}"))?;
-        let machine = match (flags.get("--machine"), corpus.machine) {
-            (Some(spec), _) => parse_machine(spec)?,
-            (None, Some(m)) => m,
-            (None, None) => MachineConfig::p2l4(),
-        };
-        (corpus.loops, machine, format!("corpus:{dir}"))
+/// `regpipe gap`: heuristic optimality gaps against the branch-and-bound
+/// oracle.
+fn cmd_gap(args: &Args) -> Result<(), String> {
+    let (loops, machine, source) = if let Some(dir) = args.opt_text("--corpus") {
+        let (loops, machine) = corpus(args, dir, &["--seed", "--count", "--max-ops"])?;
+        (loops, machine, format!("corpus:{dir}"))
     } else {
         // Small kernels by default: the oracle's search space grows fast
         // with op count, and the gap corpus is about proof coverage, not
         // stress volume.
-        let seed: u64 = flags
-            .get("--seed")
-            .unwrap_or("7")
-            .parse()
-            .map_err(|_| "bad --seed value".to_string())?;
-        let count: usize = match flags.get("--count").unwrap_or("100").parse() {
-            Ok(n) if n > 0 => n,
-            _ => return Err("--count must be a positive integer".into()),
-        };
-        let max_ops: usize = match flags.get("--max-ops").unwrap_or("12").parse() {
-            Ok(n) if n >= 2 => n,
-            _ => return Err("--max-ops must be an integer >= 2".into()),
-        };
+        let (seed, count, max_ops): (u64, usize, usize) =
+            (args.get("--seed"), args.get("--count"), args.get("--max-ops"));
         let defaults = GenParams::default();
         let params = GenParams { min_ops: defaults.min_ops.min(max_ops), max_ops, ..defaults };
         let loops = generate(seed, count, &params)?;
-        let machine = parse_machine(flags.get("--machine").unwrap_or("p2l4"))?;
+        let machine = args.read("--machine", MachineConfig::parse_spec);
         (loops, machine, format!("gen:seed={seed},count={count},max_ops={max_ops}"))
     };
 
-    let spill_budget: u32 =
-        match flags.get("--spill-budget") {
-            None => regpipe::bench::DEFAULT_SPILL_BUDGET,
-            Some(raw) => raw.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                format!("--spill-budget must be a positive integer, got '{raw}'")
-            })?,
-        };
     let config = regpipe::bench::GapConfig {
         machine,
-        node_budget,
-        jobs,
+        node_budget: args.get("--node-budget"),
+        jobs: args.jobs()?,
         source,
-        spill_policy: flags.spill_policy()?,
-        spill_budget,
+        spill_policy: args.read("--spill-policy", SpillPolicyKind::parse),
+        spill_budget: args.get("--spill-budget"),
     };
     let report = regpipe::bench::run_gap(&loops, &config);
     let proven = report.proven();
@@ -858,16 +942,12 @@ fn cmd_gap(args: &[String]) -> Result<(), String> {
             a.ii_delta
         );
     }
-    fs::write(out_path, report.to_json())
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    Ok(())
+    write_report(args.text("--out"), &report.to_json())
 }
 
 /// `regpipe check`: validate a corpus directory without compiling.
-fn cmd_check(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let dir = flags.positional().ok_or("check: missing corpus directory")?;
+fn cmd_check(args: &Args) -> Result<(), String> {
+    let dir = args.positional()?;
     let corpus = match load_corpus(dir) {
         Ok(corpus) => corpus,
         Err(e) => {
@@ -889,52 +969,27 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Serve/replay options shared by several flags.
-fn serve_options(flags: &Flags<'_>) -> Result<ServeOptions, String> {
-    let defaults = ServeOptions::default();
-    let size = |flag: &str, default: usize| -> Result<usize, String> {
-        match flags.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("{flag} must be a positive integer, got '{raw}'")),
-        }
-    };
-    let size64 = |flag: &str, default: u64| -> Result<u64, String> {
-        match flags.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("{flag} must be a positive integer, got '{raw}'")),
-        }
-    };
-    Ok(ServeOptions {
-        cache: !flags.has("--no-cache"),
-        capacity_bytes: size("--cache-bytes", defaults.capacity_bytes)?,
-        shards: size("--shards", defaults.shards)?,
-        max_request_bytes: size("--max-request-bytes", defaults.max_request_bytes)?,
-        cache_dir: flags.get("--cache-dir").map(std::path::PathBuf::from),
-        deadline_ms: match flags.get("--deadline-ms") {
-            None => None,
-            Some(_) => Some(size64("--deadline-ms", 0)?),
-        },
-        compact_appends: size64("--compact-appends", defaults.compact_appends)?,
-        drain_ms: size64("--drain-ms", defaults.drain_ms)?,
-        default_spill_policy: flags.spill_policy()?,
-    })
+/// The daemon configuration from the [`DAEMON`] flags.
+fn serve_options(args: &Args) -> ServeOptions {
+    ServeOptions {
+        cache: !args.has("--no-cache"),
+        capacity_bytes: args.get("--cache-bytes"),
+        shards: args.get("--shards"),
+        max_request_bytes: args.get("--max-request-bytes"),
+        cache_dir: args.opt_text("--cache-dir").map(std::path::PathBuf::from),
+        deadline_ms: args.opt("--deadline-ms"),
+        compact_appends: args.get("--compact-appends"),
+        drain_ms: args.get("--drain-ms"),
+        default_spill_policy: args.read("--spill-policy", SpillPolicyKind::parse),
+    }
 }
 
 /// `regpipe serve`: the persistent compile daemon.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+fn cmd_serve(args: &Args) -> Result<(), String> {
     // A malformed fault plan is a configuration error, not "no faults".
     regpipe::serve::fault::validate_env()?;
-    let server = Server::open(serve_options(&flags)?)?;
-    match flags.get("--socket") {
+    let server = Server::open(serve_options(args))?;
+    match args.opt_text("--socket") {
         None => serve_stdin(&server).map_err(|e| format!("serve: {e}")),
         Some(path) => {
             #[cfg(unix)]
@@ -952,61 +1007,42 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// The per-request options `replay` and `chaos` send with every line.
+fn replay_config(args: &Args) -> ReplayConfig {
+    ReplayConfig {
+        budgets: args.list("--budgets"),
+        strategy: args.read("--strategy", parse_strategy),
+        scheduler: args.read("--scheduler", SchedulerKind::parse),
+        spill_policy: args.read("--spill-policy", SpillPolicyKind::parse),
+        machine_spec: Some(args.text("--machine").to_string()),
+    }
+}
+
 /// `regpipe replay`: drive a request stream at a daemon.
-fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let seed: u64 = flags
-        .get("--seed")
-        .unwrap_or("49626")
-        .parse()
-        .map_err(|_| "bad --seed value".to_string())?;
-    let count: usize = match flags.get("--count").unwrap_or("100").parse() {
-        Ok(n) if n > 0 => n,
-        _ => return Err("--count must be a positive integer".into()),
-    };
-    let repeat: usize = match flags.get("--repeat").unwrap_or("1").parse() {
-        Ok(n) if n > 0 => n,
-        _ => return Err("--repeat must be a positive integer".into()),
-    };
-    let jobs = resolve_jobs(flags.get("--jobs"))?;
-    let config = ReplayConfig {
-        budgets: flags
-            .get("--budgets")
-            .unwrap_or("32")
-            .split(',')
-            .map(|b| b.parse::<u32>().map_err(|_| format!("bad budget '{b}' in --budgets")))
-            .collect::<Result<Vec<_>, _>>()?,
-        strategy: parse_strategy(flags.get("--strategy").unwrap_or("best"))?,
-        scheduler: flags.scheduler()?,
-        spill_policy: flags.spill_policy()?,
-        machine_spec: Some(flags.get("--machine").unwrap_or("p2l4").to_string()),
-    };
-    let (source, ids) = match (flags.get("--file"), flags.get("--source").unwrap_or("gen")) {
+fn cmd_replay(args: &Args) -> Result<(), String> {
+    let seed: u64 = args.get("--seed");
+    let count: usize = args.get("--count");
+    let repeat: usize = args.get("--repeat");
+    let jobs = args.jobs()?;
+    let config = replay_config(args);
+    let (source, ids) = match (args.opt_text("--file"), args.text("--source")) {
         (Some(path), _) => (ReplaySource::File(path.to_string()), IdPolicy::Verbatim),
         (None, "gen") => (ReplaySource::Gen { seed, count }, IdPolicy::Stream),
-        (None, "suite") => (ReplaySource::Suite { seed, size: count }, IdPolicy::Stream),
-        (None, other) => return Err(format!("unknown --source '{other}' (gen|suite)")),
+        (None, _) => (ReplaySource::Suite { seed, size: count }, IdPolicy::Stream),
     };
     let base = base_requests(&source, &config)?;
     if base.is_empty() {
         return Err("replay: empty request stream".into());
     }
-
     let retry = RetryPolicy {
-        attempts: match flags.get("--retry").unwrap_or("1").parse() {
-            Ok(n) if n > 0 => n,
-            _ => return Err("--retry must be a positive integer".into()),
-        },
-        backoff_ms: match flags.get("--backoff-ms").unwrap_or("50").parse() {
-            Ok(n) => n,
-            _ => return Err("--backoff-ms must be an integer".into()),
-        },
+        attempts: args.get("--retry"),
+        backoff_ms: args.get("--backoff-ms"),
         seed,
     };
 
-    let (outcome, stats) = match flags.get("--socket") {
+    let (outcome, stats) = match args.opt_text("--socket") {
         None => {
-            let server = Server::open(serve_options(&flags)?)?;
+            let server = Server::open(serve_options(args))?;
             let outcome = replay_in_process(&server, &base, repeat, jobs, ids);
             (outcome, server.stats_payload())
         }
@@ -1018,7 +1054,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("replay: {e}"))?;
                 let stats = request_once(path, "{\"op\":\"stats\"}")
                     .map_err(|e| format!("replay: stats request failed: {e}"))?;
-                if flags.has("--shutdown") {
+                if args.has("--shutdown") {
                     request_once(path, "{\"op\":\"shutdown\"}")
                         .map_err(|e| format!("replay: shutdown request failed: {e}"))?;
                 }
@@ -1033,14 +1069,13 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     };
 
     // Responses in request order: the byte-comparable stream.
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
     use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
     for line in &outcome.responses {
         writeln!(out, "{line}").map_err(|e| format!("replay: {e}"))?;
     }
     out.flush().map_err(|e| format!("replay: {e}"))?;
-    if let Some(path) = flags.get("--stats-out") {
+    if let Some(path) = args.opt_text("--stats-out") {
         fs::write(path, format!("{stats}\n"))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
@@ -1055,117 +1090,58 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 
 /// `regpipe chaos`: the deterministic crash-recovery gate.
 #[cfg(unix)]
-fn cmd_chaos(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let seed: u64 = flags
-        .get("--seed")
-        .unwrap_or("7")
-        .parse()
-        .map_err(|_| "bad --seed value".to_string())?;
-    let cycles: u32 = match flags.get("--cycles").unwrap_or("3").parse() {
-        Ok(n) if n > 0 => n,
-        _ => return Err("--cycles must be a positive integer".into()),
-    };
-    let count: usize = match flags.get("--count").unwrap_or("12").parse() {
-        Ok(n) if n >= 4 => n,
-        _ => return Err("--count must be an integer >= 4".into()),
-    };
+fn cmd_chaos(args: &Args) -> Result<(), String> {
     let pid = std::process::id();
-    let socket = flags.get("--socket").map_or_else(
-        || std::env::temp_dir().join(format!("regpipe-chaos-{pid}.sock")),
-        std::path::PathBuf::from,
-    );
-    let scratch_cache = !flags.has("--cache-dir");
-    let cache_dir = flags.get("--cache-dir").map_or_else(
-        || std::env::temp_dir().join(format!("regpipe-chaos-cache-{pid}")),
-        std::path::PathBuf::from,
-    );
+    let path_or_temp = |flag, temp: String| {
+        args.opt_text(flag).map_or_else(|| std::env::temp_dir().join(temp), Into::into)
+    };
+    let socket = path_or_temp("--socket", format!("regpipe-chaos-{pid}.sock"));
+    let scratch_cache = !args.has("--cache-dir");
+    let cache_dir = path_or_temp("--cache-dir", format!("regpipe-chaos-cache-{pid}"));
     let config = ChaosConfig {
         exe: std::env::current_exe()
             .map_err(|e| format!("chaos: cannot locate the regpipe binary: {e}"))?,
         socket,
         cache_dir,
-        cycles,
-        seed,
-        count,
-        jobs: resolve_jobs(flags.get("--jobs"))?,
-        replay: ReplayConfig {
-            budgets: flags
-                .get("--budgets")
-                .unwrap_or("32")
-                .split(',')
-                .map(|b| b.parse::<u32>().map_err(|_| format!("bad budget '{b}' in --budgets")))
-                .collect::<Result<Vec<_>, _>>()?,
-            strategy: parse_strategy(flags.get("--strategy").unwrap_or("best"))?,
-            scheduler: flags.scheduler()?,
-            spill_policy: flags.spill_policy()?,
-            machine_spec: Some(flags.get("--machine").unwrap_or("p2l4").to_string()),
-        },
+        cycles: args.get("--cycles"),
+        seed: args.get("--seed"),
+        count: args.get("--count"),
+        jobs: args.jobs()?,
+        replay: replay_config(args),
     };
     let result = run_chaos(&config);
     if scratch_cache {
         let _ = fs::remove_dir_all(&config.cache_dir);
     }
     let report = result?;
-    if let Some(path) = flags.get("--out") {
+    if let Some(path) = args.opt_text("--out") {
         write_responses(std::path::Path::new(path), &report.final_responses)?;
     }
     println!("{}", report.render_json());
     Ok(())
 }
 
-/// `regpipe chaos` spawns daemons over unix sockets; nothing to gate
-/// elsewhere.
+/// `regpipe chaos` spawns daemons over unix sockets.
 #[cfg(not(unix))]
-fn cmd_chaos(_args: &[String]) -> Result<(), String> {
+fn cmd_chaos(_args: &Args) -> Result<(), String> {
     Err("chaos: requires a unix platform".into())
 }
 
 /// `regpipe bench-serve`: benchmark the daemon and write `BENCH_serve.json`.
-fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    let defaults = ServeBenchConfig::default();
+fn cmd_bench_serve(args: &Args) -> Result<(), String> {
     let config = ServeBenchConfig {
-        seed: match flags.get("--seed") {
-            None => 49626,
-            Some(raw) => raw.parse().map_err(|_| "bad --seed value".to_string())?,
-        },
-        count: match flags.get("--count") {
-            None => defaults.count,
-            Some(raw) => raw
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or("--count must be a positive integer")?,
-        },
-        repeat: match flags.get("--repeat") {
-            None => defaults.repeat,
-            Some(raw) => raw
-                .parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or("--repeat must be a positive integer")?,
-        },
-        budgets: match flags.get("--budgets") {
-            None => defaults.budgets,
-            Some(raw) => raw
-                .split(',')
-                .map(|b| b.parse::<u32>().map_err(|_| format!("bad budget '{b}' in --budgets")))
-                .collect::<Result<Vec<_>, _>>()?,
-        },
-        strategy: parse_strategy(flags.get("--strategy").unwrap_or("best"))?,
-        scheduler: flags.scheduler()?,
-        spill_policy: flags.spill_policy()?,
-        machine_spec: {
-            let spec = flags.get("--machine").unwrap_or("p2l4");
-            parse_machine(spec)?; // validate the spelling up front
-            spec.to_string()
-        },
-        jobs: resolve_jobs(flags.get("--jobs"))?,
-        cache: !flags.has("--no-cache"),
-        timed: std::env::var("REGPIPE_BENCH_TIMING").is_ok_and(|v| v == "1"),
+        seed: args.get("--seed"),
+        count: args.get("--count"),
+        repeat: args.get("--repeat"),
+        budgets: args.list("--budgets"),
+        strategy: args.read("--strategy", parse_strategy),
+        scheduler: args.read("--scheduler", SchedulerKind::parse),
+        spill_policy: args.read("--spill-policy", SpillPolicyKind::parse),
+        machine_spec: args.text("--machine").to_string(),
+        jobs: args.jobs()?,
+        cache: !args.has("--no-cache"),
+        timed: timing_enabled(),
     };
-    let out_path = flags.get("--out").unwrap_or("BENCH_serve.json");
     let report = run_serve_bench(&config).map_err(|e| format!("bench-serve: {e}"))?;
     println!(
         "=== serve bench: {} kernels x {:?} budgets x {} passes, machine {}, scheduler {} ===",
@@ -1191,8 +1167,26 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
             config.jobs
         );
     }
-    fs::write(out_path, format!("{}\n", report.to_json()))
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    Ok(())
+    write_report(args.text("--out"), &format!("{}\n", report.to_json()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every verb's flags are distinct and every declared default checks.
+    #[test]
+    fn the_table_is_well_formed() {
+        for verb in VERBS {
+            let mut names: Vec<&str> = verb.flags().map(Flag::name).collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), verb.flags().count(), "{}: duplicate flag", verb.name());
+            for flag in verb.flags() {
+                if let Some(default) = flag.default() {
+                    assert!(flag.kind.check(flag.name(), default).is_ok(), "{}", flag.spec);
+                }
+            }
+        }
+    }
 }

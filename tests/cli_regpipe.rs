@@ -555,3 +555,185 @@ fn compile_handles_long_staggered_bonds() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// The strict flag parser: on every verb, a misspelled flag, a value-taking
+/// flag with no value, a repeated flag and an extra positional are errors
+/// that name the offending token and run nothing.
+#[test]
+fn every_verb_rejects_malformed_flags_before_running() {
+    let dir = scratch_dir("strict");
+    let ddg = example_ddg(&dir);
+    let ddg = ddg.to_str().unwrap();
+    run_ok({
+        let mut c = bin();
+        c.args(["gen", "--seed", "3", "--count", "2", "--out", "corpus"]).current_dir(&dir);
+        c
+    });
+    // A cheap valid invocation per verb and one value flag it accepts.
+    let verbs: [(&[&str], &[&str]); 11] = [
+        (&["info", ddg], &["--machine", "p2l4"]),
+        (&["compile", ddg], &["--regs", "8"]),
+        (&["suite", "--size", "2", "--jobs", "1", "--out", "r.json"], &["--budgets", "32"]),
+        (&["gen", "--count", "2", "--out", "g"], &["--seed", "3"]),
+        (&["check", "corpus"], &[]),
+        (&["bench", "--sizes", "4", "--count", "1", "--out", "b.json"], &["--seed", "3"]),
+        (&["gap", "--count", "2", "--jobs", "1", "--out", "g.json"], &["--seed", "3"]),
+        (&["serve"], &["--shards", "2"]),
+        (&["replay", "--count", "2", "--jobs", "1"], &["--seed", "3"]),
+        (&["chaos", "--cycles", "1", "--count", "4", "--jobs", "1"], &["--seed", "3"]),
+        (
+            &["bench-serve", "--count", "2", "--repeat", "1", "--out", "s.json"],
+            &["--seed", "3"],
+        ),
+    ];
+    let mut cases: Vec<(Vec<&str>, &str)> = Vec::new();
+    for (base, flag) in verbs {
+        cases.push(([base, &["--cuont", "3"]].concat(), "--cuont"));
+        cases.push(([base, &["extra-arg"]].concat(), "extra-arg"));
+        if let [name, _] = flag {
+            cases.push(([base, &[name]].concat(), name));
+            cases.push(([base, flag, flag].concat(), name));
+        }
+    }
+    cases.push((vec!["suite", "--size", "2", "--out", "--jobs", "1"], "--out"));
+    for (args, needle) in cases {
+        let out =
+            bin().args(&args).current_dir(&dir).stdin(std::process::Stdio::null()).output();
+        let out = out.expect("spawn regpipe");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail: {stderr}");
+        assert!(stderr.contains(needle), "{args:?} must name {needle}: {stderr}");
+        assert!(stderr.contains(&format!("regpipe help {}", args[0])), "{args:?}: {stderr}");
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("==="), "{args:?} ran");
+    }
+    assert!(!dir.join("--jobs").exists(), "`--out --jobs` wrote a file named --jobs");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The positional may come anywhere, and list entries are trimmed alike on
+/// every list flag: equivalent spellings give byte-equal output.
+#[test]
+fn equivalent_spellings_give_identical_output() {
+    let dir = scratch_dir("spellings");
+    let ddg = example_ddg(&dir);
+    let ddg = ddg.to_str().unwrap();
+    for (a, b) in [
+        (&["compile", "--regs", "4", ddg][..], &["compile", ddg, "--regs", "4"][..]),
+        (
+            &["suite", "--size", "2", "--jobs", "1", "--budgets", "64, 32", "--out", "a.json"],
+            &["suite", "--size", "2", "--jobs", "1", "--budgets", "64,32", "--out", "a.json"],
+        ),
+    ] {
+        let run = |args: &[&str]| {
+            let out = run_ok({
+                let mut c = bin();
+                c.args(args).current_dir(&dir);
+                c
+            });
+            (out.stdout, fs::read(dir.join("a.json")).ok())
+        };
+        assert_eq!(run(a), run(b), "{a:?} vs {b:?}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `help <verb>` names an unknown verb as an error, and `help replay`
+/// lists the daemon flags an in-process replay reads.
+#[test]
+fn help_rejects_unknown_verbs_and_documents_replay_daemon_flags() {
+    let out = bin().args(["help", "bogus"]).output().expect("spawn regpipe");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("'bogus'") && stderr.contains("bench-serve"), "{stderr}");
+    let out = run_ok({
+        let mut c = bin();
+        c.args(["help", "replay"]);
+        c
+    });
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    for flag in [
+        "--cache-bytes",
+        "--shards",
+        "--max-request-bytes",
+        "--deadline-ms",
+        "--compact-appends",
+        "--drain-ms",
+    ] {
+        assert!(stdout.contains(flag), "help replay must list {flag}:\n{stdout}");
+    }
+}
+
+/// The defaults `help` shows are the values a verb runs with, so they must
+/// match the library defaults the table restates.
+#[test]
+fn help_defaults_match_the_library_defaults() {
+    let default_of = |verb: &str, flag: &str| {
+        let out = run_ok({
+            let mut c = bin();
+            c.args(["help", verb]);
+            c
+        });
+        let text = String::from_utf8(out.stdout).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        // A long flag head wraps its help onto the next line.
+        let help = (0..lines.len())
+            .filter(|&i| lines[i].starts_with(&format!("  {flag} ")))
+            .map(|i| match lines.get(i + 1) {
+                Some(next) if next.starts_with("   ") => format!("{} {next}", lines[i]),
+                _ => lines[i].to_string(),
+            })
+            .find(|help| help.contains("(default "))
+            .unwrap_or_else(|| panic!("help {verb} shows no default for {flag}"));
+        let rest = &help[help.find("(default ").unwrap() + 9..];
+        rest[..rest.find(')').unwrap()].to_string()
+    };
+    let serve = regpipe::serve::ServeOptions::default();
+    assert_eq!(default_of("serve", "--cache-bytes"), serve.capacity_bytes.to_string());
+    assert_eq!(default_of("serve", "--shards"), serve.shards.to_string());
+    assert_eq!(default_of("serve", "--max-request-bytes"), serve.max_request_bytes.to_string());
+    assert_eq!(default_of("serve", "--compact-appends"), serve.compact_appends.to_string());
+    assert_eq!(default_of("serve", "--drain-ms"), serve.drain_ms.to_string());
+    let gen = regpipe::loops::GenParams::default();
+    assert_eq!(default_of("gen", "--min-ops"), gen.min_ops.to_string());
+    assert_eq!(default_of("gen", "--max-ops"), gen.max_ops.to_string());
+    assert_eq!(default_of("gen", "--rec-density"), gen.recurrence_density.to_string());
+    assert_eq!(default_of("gen", "--invariants"), gen.max_invariants.to_string());
+    assert_eq!(default_of("gen", "--weights").parse(), Ok(gen.weights));
+    let bench = regpipe::bench::CompileBenchConfig::default();
+    let sizes: Vec<String> = bench.sizes.iter().map(usize::to_string).collect();
+    assert_eq!(default_of("bench", "--sizes"), sizes.join(","));
+    assert_eq!(default_of("bench", "--count"), bench.count.to_string());
+    let serve_bench = regpipe::serve::ServeBenchConfig::default();
+    assert_eq!(default_of("bench-serve", "--count"), serve_bench.count.to_string());
+    assert_eq!(default_of("bench-serve", "--repeat"), serve_bench.repeat.to_string());
+    assert_eq!(
+        default_of("gap", "--node-budget"),
+        regpipe::sched::DEFAULT_NODE_BUDGET.to_string()
+    );
+    assert_eq!(
+        default_of("gap", "--spill-budget"),
+        regpipe::bench::DEFAULT_SPILL_BUDGET.to_string()
+    );
+    let retry = regpipe::serve::RetryPolicy::default();
+    assert_eq!(default_of("replay", "--retry"), retry.attempts.to_string());
+    assert_eq!(default_of("replay", "--backoff-ms"), retry.backoff_ms.to_string());
+}
+
+/// Scheduler and spill-policy names are declared once, by their registries:
+/// the CLI source never spells one out.
+#[test]
+fn cli_source_spells_no_registry_slug() {
+    let source = include_str!("../src/bin/regpipe.rs");
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+    let slugs = regpipe::sched::SchedulerKind::ALL
+        .map(|k| k.slug())
+        .into_iter()
+        .chain(regpipe::spill::SpillPolicyKind::ALL.map(|k| k.slug()));
+    for slug in slugs {
+        for (at, _) in source.match_indices(slug) {
+            let before = source[..at].chars().next_back().is_some_and(is_word);
+            let after = source[at + slug.len()..].chars().next().is_some_and(is_word);
+            assert!(before || after, "regpipe.rs spells the slug '{slug}' at byte {at}");
+        }
+    }
+}

@@ -21,7 +21,7 @@ use regpipe::regalloc::LifetimeAnalysis;
 use regpipe::sched::{
     mii, rec_mii, ComplexGroups, LoopAnalysis, SchedError, SchedRequest, Schedule,
 };
-use regpipe::spill::{candidates, select, spill_batch, SelectHeuristic};
+use regpipe::spill::{candidates, spill_batch, RankContext, SelectHeuristic};
 
 /// Reference scheduler: delegates to HRMS but deliberately does *not*
 /// forward `schedule_in`, so every call through the `Scheduler` trait takes
@@ -193,7 +193,10 @@ proptest! {
                         break;
                     }
                     let pool = candidates(&g, &analysis);
-                    let victims: Vec<_> = select(&pool, SelectHeuristic::MaxLtOverTraffic)
+                    let heuristic = SelectHeuristic::MaxLtOverTraffic;
+                    let rank = RankContext { analysis: &analysis, heuristic, round: 0 };
+                    let victims: Vec<_> = SpillPolicyKind::Paper
+                        .select(&pool, &rank)
                         .into_iter()
                         .cloned()
                         .collect();

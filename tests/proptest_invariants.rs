@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use regpipe::prelude::*;
 use regpipe::regalloc::{LifetimeAnalysis, RotatingAllocator};
 use regpipe::sched::{ComplexGroups, SchedRequest};
-use regpipe::spill::{candidates, select, spill};
+use regpipe::spill::{candidates, spill, RankContext};
 
 /// Strategy: a random well-formed loop body.
 ///
@@ -206,7 +206,9 @@ proptest! {
             let s = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
             let analysis = LifetimeAnalysis::new(&g, &s);
             let pool = candidates(&g, &analysis);
-            let Some(victim) = select(&pool, SelectHeuristic::MaxLtOverTraffic) else {
+            let heuristic = SelectHeuristic::MaxLtOverTraffic;
+            let ctx = RankContext { analysis: &analysis, heuristic, round: 0 };
+            let Some(victim) = SpillPolicyKind::Paper.select(&pool, &ctx) else {
                 break;
             };
             let victim = victim.clone();
